@@ -29,8 +29,10 @@ from .frames import (
     frame_bounds,
     frame_operator,
     frame_operator_norms,
+    inverse_frame_operator,
     is_alternative_dual,
     projection,
+    reconstruct,
     reconstruct_canonical,
     synthesis,
     transport_subspace,

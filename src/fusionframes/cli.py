@@ -17,11 +17,11 @@ from .fileformat import ParseError, dumps_system, load_system, save_system
 from .frames import (
     canonical_dual,
     frame_bounds,
-    frame_operator,
+    frame_operator_norms,
     is_alternative_dual,
-    projection,
+    reconstruct,
+    reconstruct_canonical,
 )
-from .linalg import invert, operator_norm
 from .tensor import check_operator_factorization, tensor_system
 from .verify import THEOREM_IDS, CheckSpec, run_checks
 
@@ -78,7 +78,6 @@ def cmd_generate(args) -> int:
 
 def _check_summary(sys_) -> dict:
     bounds = frame_bounds(sys_)
-    s = frame_operator(sys_)
     summary = {
         "format_version": "fusion-frame-check/1",
         "ambient_dim": sys_.ambient_dim,
@@ -87,10 +86,10 @@ def _check_summary(sys_) -> dict:
         "is_tight": bounds.is_tight,
         "lower": bounds.lower,
         "upper": bounds.upper,
-        "frame_operator_norm": operator_norm(s),
+        "frame_operator_norm": bounds.upper,
     }
     if bounds.is_frame:
-        summary["inverse_frame_operator_norm"] = operator_norm(invert(s))
+        summary["inverse_frame_operator_norm"] = frame_operator_norms(sys_)[1]
     return summary
 
 
@@ -176,20 +175,13 @@ def cmd_reconstruct(args) -> int:
     if not frame_bounds(sys_).is_frame:
         print("error: input system is not a frame", file=sys.stderr)
         return EXIT_NOT_A_FRAME
-    s_inv = invert(frame_operator(sys_))
     if args.dual:
         cand = load_system(args.dual)
         if len(cand.members) != len(sys_.members) or cand.ambient_dim != sys_.ambient_dim:
             print("error: dual file does not match the input system", file=sys.stderr)
             return EXIT_MISMATCH
-        rec = np.zeros(sys_.ambient_dim, dtype=complex)
-        for m, c in zip(sys_.members, cand.members):
-            rec += m.weight * c.weight * (
-                projection(c.basis) @ (s_inv @ (projection(m.basis) @ f))
-            )
+        rec = reconstruct(sys_, cand, f)
     else:
-        from .frames import reconstruct_canonical
-
         rec = reconstruct_canonical(sys_, f)
     norm = float(np.linalg.norm(f))
     err = float(np.linalg.norm(rec - f))

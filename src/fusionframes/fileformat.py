@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import FusionFrameError
 from .frames import FusionSystem, WeightedSubspace
-from .linalg import TOL_ORTHO, SubspaceBasis, adjoint, orthonormalize
+from .linalg import SubspaceBasis, orthonormalize
 
 FORMAT_VERSION = "fusion-frame/1"
 
@@ -46,13 +46,11 @@ def system_to_dict(sys: FusionSystem) -> dict:
     is_real = all(np.allclose(m.basis.matrix.imag, 0.0, atol=0.0) for m in sys.members)
     subspaces = []
     for m in sys.members:
-        cols = []
-        for j in range(m.basis.sub_dim):
-            col = m.basis.matrix[:, j]
-            if is_real:
-                cols.append([float(x.real) for x in col])
-            else:
-                cols.append([[float(x.real), float(x.imag)] for x in col])
+        cols = m.basis.matrix.T
+        if is_real:
+            cols = cols.real.tolist()
+        else:
+            cols = np.stack((cols.real, cols.imag), axis=-1).tolist()
         subspaces.append({"weight": float(m.weight), "basis": cols})
     return {
         "format_version": FORMAT_VERSION,
@@ -85,14 +83,9 @@ def system_from_dict(data: dict) -> FusionSystem:
                 if not isinstance(col, list) or len(col) != dim:
                     raise ParseError(f"subspace {k}: column length != ambient_dim")
                 vecs.append(np.array([_entry_to_complex(e) for e in col]))
-            mat = np.column_stack(vecs)
-            gram = adjoint(mat) @ mat
-            k_cols = mat.shape[1]
-            if k_cols <= dim and np.linalg.norm(gram - np.eye(k_cols)) <= TOL_ORTHO * max(
-                1.0, np.sqrt(k_cols)
-            ):
-                basis = SubspaceBasis(mat)
-            else:
+            try:
+                basis = SubspaceBasis(np.column_stack(vecs))
+            except ValueError:
                 basis = orthonormalize(vecs)
             members.append(WeightedSubspace(basis=basis, weight=float(weight)))
         return FusionSystem(ambient_dim=dim, members=tuple(members))

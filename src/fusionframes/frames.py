@@ -9,19 +9,20 @@ eigenvalues of S are the optimal frame bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, DimensionMismatch, NotAFrame, Singular
+from .errors import ArityMismatch, DimensionMismatch, NotAFrame
 from .linalg import (
+    Spectrum,
     SubspaceBasis,
     adjoint,
     as_operator,
     as_vector,
+    check_invertible,
     hermitian_eig,
-    invert,
-    operator_norm,
     orthonormalize,
 )
 
@@ -64,9 +65,13 @@ class FusionSystem:
     def __len__(self) -> int:
         return len(self.members)
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([m.weight for m in self.members])
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """Eigendecomposition of the frame operator, computed once per system.
+
+        Bounds, tightness, both operator norms and S^{-1} all derive from it.
+        """
+        return hermitian_eig(frame_operator(self))
 
 
 @dataclass(frozen=True)
@@ -95,11 +100,16 @@ def projection(basis: SubspaceBasis) -> np.ndarray:
     return b @ adjoint(b)
 
 
-def analysis(sys: FusionSystem, f) -> CoefficientFamily:
-    """Map f to the family {v_i P_{V_i} f}."""
+def _ambient_vector(sys: FusionSystem, f) -> np.ndarray:
     v = as_vector(f)
     if v.size != sys.ambient_dim:
         raise DimensionMismatch(f"vector dim {v.size} != ambient dim {sys.ambient_dim}")
+    return v
+
+
+def analysis(sys: FusionSystem, f) -> CoefficientFamily:
+    """Map f to the family {v_i P_{V_i} f}."""
+    v = _ambient_vector(sys, f)
     parts = []
     for m in sys.members:
         b = m.basis.matrix
@@ -122,37 +132,40 @@ def synthesis(sys: FusionSystem, coeffs: CoefficientFamily) -> np.ndarray:
     return out
 
 
+def _synthesis_matrix(sys: FusionSystem) -> np.ndarray:
+    """B = [v_1 B_1, ..., v_N B_N], so that S = B B^H."""
+    return np.hstack([m.weight * m.basis.matrix for m in sys.members])
+
+
 def frame_operator(sys: FusionSystem) -> np.ndarray:
     """S = sum_i v_i^2 P_{V_i}; Hermitian and positive semidefinite."""
-    s = np.zeros((sys.ambient_dim, sys.ambient_dim), dtype=complex)
-    for m in sys.members:
-        s += m.weight**2 * projection(m.basis)
+    b = _synthesis_matrix(sys)
+    s = b @ adjoint(b)
     return 0.5 * (s + adjoint(s))
 
 
-def frame_bounds(
-    sys: FusionSystem,
-    frame_tol_rel: float = FRAME_TOL_REL,
-    tight_tol: float = TIGHT_TOL,
-) -> FrameBounds:
+def frame_bounds(sys: FusionSystem) -> FrameBounds:
     """Optimal bounds = extremal eigenvalues of the frame operator."""
-    spec = hermitian_eig(frame_operator(sys))
-    lower = float(spec.eigenvalues[0])
-    upper = float(spec.eigenvalues[-1])
-    is_frame = lower > frame_tol_rel * max(upper, 0.0)
-    is_tight = is_frame and (upper - lower) <= tight_tol * upper
+    eigenvalues = sys.spectrum.eigenvalues
+    lower = float(eigenvalues[0])
+    upper = float(eigenvalues[-1])
+    is_frame = lower > FRAME_TOL_REL * max(upper, 0.0)
+    is_tight = is_frame and (upper - lower) <= TIGHT_TOL * upper
     return FrameBounds(lower=lower, upper=upper, is_frame=is_frame, is_tight=is_tight)
 
 
-def _inverse_frame_operator(sys: FusionSystem) -> np.ndarray:
+def inverse_frame_operator(sys: FusionSystem) -> np.ndarray:
+    """S^{-1} = Q diag(1/lambda) Q^H from the system's cached spectrum.
+
+    Raises NotAFrame when S is not invertible within ``FRAME_TOL_REL``.
+    """
     if not frame_bounds(sys).is_frame:
         raise NotAFrame("frame operator is not invertible within tolerance")
-    return invert(frame_operator(sys))
+    q = sys.spectrum.eigenvectors
+    return (q / sys.spectrum.eigenvalues) @ adjoint(q)
 
 
-def canonical_dual(sys: FusionSystem) -> FusionSystem:
-    """The system {(S^{-1} V_i, v_i)}, bases re-orthonormalized."""
-    s_inv = _inverse_frame_operator(sys)
+def _canonical_dual(sys: FusionSystem, s_inv: np.ndarray) -> FusionSystem:
     members = []
     for m in sys.members:
         cols = s_inv @ m.basis.matrix
@@ -162,17 +175,43 @@ def canonical_dual(sys: FusionSystem) -> FusionSystem:
     return FusionSystem(ambient_dim=sys.ambient_dim, members=tuple(members))
 
 
+def canonical_dual(sys: FusionSystem) -> FusionSystem:
+    """The system {(S^{-1} V_i, v_i)}, bases re-orthonormalized."""
+    return _canonical_dual(sys, inverse_frame_operator(sys))
+
+
+def _dual_sum(sys: FusionSystem, cand: FusionSystem, s_inv: np.ndarray) -> np.ndarray:
+    """sum_i v_i v'_i P_{V'_i} S^{-1} P_{V_i}, never forming a projection.
+
+    Term i is (v'_i D_i)(D_i^H S^{-1} B_i)(v_i B_i)^H with D_i, B_i the
+    member bases: O(n^2 k_i) work, and one GEMM sums the outer products.
+    """
+    left = []
+    for m, c in zip(sys.members, cand.members):
+        d = c.basis.matrix
+        left.append((c.weight * d) @ (adjoint(d) @ s_inv @ m.basis.matrix))
+    return np.hstack(left) @ adjoint(_synthesis_matrix(sys))
+
+
+def _check_candidate(sys: FusionSystem, cand: FusionSystem) -> None:
+    if cand.ambient_dim != sys.ambient_dim:
+        raise DimensionMismatch("candidate lives on a different space")
+    if len(cand.members) != len(sys.members):
+        raise ArityMismatch(f"{len(cand.members)} candidate members for {len(sys.members)}")
+
+
+def reconstruct(sys: FusionSystem, dual: FusionSystem, f) -> np.ndarray:
+    """Apply sum_i v_i v'_i P_{V'_i} S^{-1} P_{V_i} to f (equals f for a dual)."""
+    v = _ambient_vector(sys, f)
+    _check_candidate(sys, dual)
+    return _dual_sum(sys, dual, inverse_frame_operator(sys)) @ v
+
+
 def reconstruct_canonical(sys: FusionSystem, f) -> np.ndarray:
     """Apply sum_i v_i^2 P_{S^{-1}V_i} S^{-1} P_{V_i} to f (equals f for a frame)."""
-    v = as_vector(f)
-    if v.size != sys.ambient_dim:
-        raise DimensionMismatch(f"vector dim {v.size} != ambient dim {sys.ambient_dim}")
-    s_inv = _inverse_frame_operator(sys)
-    dual = canonical_dual(sys)
-    out = np.zeros(sys.ambient_dim, dtype=complex)
-    for m, dm in zip(sys.members, dual.members):
-        out += m.weight**2 * (projection(dm.basis) @ (s_inv @ (projection(m.basis) @ v)))
-    return out
+    v = _ambient_vector(sys, f)
+    s_inv = inverse_frame_operator(sys)
+    return _dual_sum(sys, _canonical_dual(sys, s_inv), s_inv) @ v
 
 
 def is_alternative_dual(
@@ -182,16 +221,10 @@ def is_alternative_dual(
 
     Returns (verdict, residual) with residual = ||sum - I||_F / sqrt(dim).
     """
-    if cand.ambient_dim != sys.ambient_dim:
-        raise DimensionMismatch("candidate lives on a different space")
-    if len(cand.members) != len(sys.members):
-        raise ArityMismatch(f"{len(cand.members)} candidate members for {len(sys.members)}")
-    s_inv = _inverse_frame_operator(sys)
+    _check_candidate(sys, cand)
     n = sys.ambient_dim
-    acc = np.zeros((n, n), dtype=complex)
-    for m, c in zip(sys.members, cand.members):
-        acc += m.weight * c.weight * (projection(c.basis) @ s_inv @ projection(m.basis))
-    residual = float(np.linalg.norm(acc - np.eye(n))) / np.sqrt(n)
+    dual_sum = _dual_sum(sys, cand, inverse_frame_operator(sys))
+    residual = float(np.linalg.norm(dual_sum - np.eye(n))) / np.sqrt(n)
     return residual <= dual_tol, residual
 
 
@@ -223,13 +256,13 @@ def transport_subspace(t, basis: SubspaceBasis) -> SubspaceBasis:
     m = as_operator(t)
     if m.shape != (basis.ambient_dim, basis.ambient_dim):
         raise DimensionMismatch("operator does not act on the basis's space")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= m.shape[0] * np.finfo(float).eps * s[0]:
-        raise Singular("transport operator is singular")
+    check_invertible(m)
     return orthonormalize((m @ basis.matrix).T)
 
 
 def frame_operator_norms(sys: FusionSystem) -> tuple[float, float]:
-    """(||S||, ||S^{-1}||) for a frame system."""
-    s = frame_operator(sys)
-    return operator_norm(s), operator_norm(_inverse_frame_operator(sys))
+    """(||S||, ||S^{-1}||) = (lambda_max, 1 / lambda_min) for a frame system."""
+    bounds = frame_bounds(sys)
+    if not bounds.is_frame:
+        raise NotAFrame("frame operator is not invertible within tolerance")
+    return bounds.upper, 1.0 / bounds.lower

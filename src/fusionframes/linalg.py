@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import NotHermitian, Singular, ZeroSubspace
 
-# Default tolerances; every public operation that needs one takes it as a
-# keyword so callers can tighten or relax per use.
+# Default tolerances.
 TOL_ORTHO = 1e-12
 TOL_EIG = 1e-10
 TOL_HERMITIAN = 1e-10
@@ -148,21 +147,19 @@ def tensor_vector(f, g) -> np.ndarray:
     return np.kron(as_vector(f), as_vector(g))
 
 
-def invert(a, tol_cond: float | None = None) -> np.ndarray:
-    """Matrix inverse with an explicit singularity threshold.
-
-    Raises Singular when sigma_min <= tol_cond * sigma_max
-    (default tol_cond = dim * machine-eps).
-    """
-    m = as_operator(a)
-    n = m.shape[0]
+def check_invertible(m: np.ndarray) -> None:
+    """Raise Singular when sigma_min <= dim * machine-eps * sigma_max."""
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix is not square")
-    if tol_cond is None:
-        tol_cond = n * _EPS
     s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= tol_cond * s[0]:
+    if s[-1] <= m.shape[0] * _EPS * s[0]:
         raise Singular(f"sigma_min/sigma_max = {s[-1] / s[0] if s[0] else 0.0:.3e}")
+
+
+def invert(a) -> np.ndarray:
+    """Matrix inverse; raises Singular as :func:`check_invertible` does."""
+    m = as_operator(a)
+    check_invertible(m)
     return np.linalg.inv(m)
 
 

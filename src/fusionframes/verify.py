@@ -11,8 +11,6 @@ across platforms, so reports are byte-identical for a fixed seed.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,7 +176,6 @@ def _check_n2_5(rng, dims, tol):
     sys = _random_frame(rng, _dim(rng, dims, 0))
     b = frame_bounds(sys)
     s = frame_operator(sys)
-    n = sys.ambient_dim
     r_h = np.linalg.norm(s - adjoint(s)) / max(np.linalg.norm(s), 1.0)
     ev = np.linalg.eigvalsh(s)
     s_inv = invert(s)
@@ -466,41 +463,24 @@ class VerificationReport:
         )
 
 
-def _worker_count() -> int:
-    env = os.environ.get("FUSION_FRAME_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def run_checks(spec: CheckSpec) -> VerificationReport:
     """Run the campaign; failures are recorded, never raised."""
     tol_overrides = dict(spec.tolerances)
     records = []
-    workers = _worker_count()
     for theorem_id in spec.theorems:
         fn, default_tol = _CHECKS[theorem_id]
         tol = float(tol_overrides.get(theorem_id, default_tol))
         c_index = THEOREM_IDS.index(theorem_id)
-
-        def one_trial(t, fn=fn, c_index=c_index, tol=tol):
-            rng = np.random.default_rng([spec.seed, c_index, t])
-            try:
-                return fn(rng, spec.dims, tol)
-            except Exception as exc:  # a crash is a failed trial, not a crash of the campaign
-                return False, float("inf"), repr(exc)
-
-        if workers > 1 and spec.trials > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(one_trial, range(spec.trials)))
-        else:
-            outcomes = [one_trial(t) for t in range(spec.trials)]
-
         passes = 0
         worst = 0.0
         witness = None
-        for t, outcome in enumerate(outcomes):
-            passed, residual = outcome[0], outcome[1]
+        for t in range(spec.trials):
+            rng = np.random.default_rng([spec.seed, c_index, t])
+            error = None
+            try:
+                passed, residual = fn(rng, spec.dims, tol)
+            except Exception as exc:  # a crash is a failed trial, not a crash of the campaign
+                passed, residual, error = False, float("inf"), repr(exc)
             worst = max(worst, residual)
             if passed:
                 passes += 1
@@ -511,8 +491,8 @@ def run_checks(spec: CheckSpec) -> VerificationReport:
                     "dims": [list(spec.dims[0]), list(spec.dims[1])],
                     "residual": residual,
                 }
-                if len(outcome) > 2:
-                    witness["error"] = outcome[2]
+                if error is not None:
+                    witness["error"] = error
         record = {
             "theorem_id": theorem_id,
             "trials": spec.trials,

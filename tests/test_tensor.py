@@ -168,7 +168,6 @@ class TestTransport:
 class TestRoiTensor:
     def test_parseval(self, parseval_system):
         fam = roi_tensor(parseval_system, parseval_system)
-        assert fam.split_constants == (1.0, 1.0)
         acc = sum(s * op for s, op in zip(fam.scalars, fam.ops))
         assert np.linalg.norm(acc - np.eye(4)) <= 1e-14
 
