@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from .errors import ArityMismatch, BadParameters, FusionFrameError, NotAFrame
-from .fileformat import ParseError, dumps_system, load_system, save_system
+from .errors import ArityMismatch, BadParameters, DimensionMismatch, FusionFrameError, NotAFrame
+from .fileformat import ParseError, _entry_to_complex, dumps_system, load_system
 from .frames import (
     canonical_dual,
     frame_bounds,
@@ -154,16 +154,9 @@ def cmd_dual(args) -> int:
 
 def _parse_vector(text: str, dim: int) -> np.ndarray:
     try:
-        data = json.loads(text)
-        entries = []
-        for e in data:
-            if isinstance(e, (int, float)):
-                entries.append(complex(e))
-            else:
-                entries.append(complex(e[0], e[1]))
-    except (json.JSONDecodeError, TypeError, ValueError, IndexError):
+        v = np.array([_entry_to_complex(e) for e in json.loads(text)])
+    except (json.JSONDecodeError, TypeError, ParseError):
         raise BadParameters("--vector must be a JSON array of numbers or [re, im] pairs")
-    v = np.array(entries)
     if v.size != dim:
         raise BadParameters(f"vector has dim {v.size}, system has dim {dim}")
     return v
@@ -176,11 +169,7 @@ def cmd_reconstruct(args) -> int:
         print("error: input system is not a frame", file=sys.stderr)
         return EXIT_NOT_A_FRAME
     if args.dual:
-        cand = load_system(args.dual)
-        if len(cand.members) != len(sys_.members) or cand.ambient_dim != sys_.ambient_dim:
-            print("error: dual file does not match the input system", file=sys.stderr)
-            return EXIT_MISMATCH
-        rec = reconstruct(sys_, cand, f)
+        rec = reconstruct(sys_, load_system(args.dual), f)
     else:
         rec = reconstruct_canonical(sys_, f)
     norm = float(np.linalg.norm(f))
@@ -270,7 +259,7 @@ def main(argv=None) -> int:
     except NotAFrame as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_A_FRAME
-    except ArityMismatch as exc:
+    except (ArityMismatch, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except (BadParameters, FusionFrameError, ValueError) as exc:

@@ -34,10 +34,15 @@ class ParseError(FusionFrameError):
     """Malformed or unreadable frame file."""
 
 
+def _is_number(x) -> bool:
+    """JSON number; true and false are not numbers, although bool subclasses int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _entry_to_complex(e) -> complex:
-    if isinstance(e, (int, float)):
+    if _is_number(e):
         return complex(e)
-    if isinstance(e, list) and len(e) == 2 and all(isinstance(x, (int, float)) for x in e):
+    if isinstance(e, list) and len(e) == 2 and all(_is_number(x) for x in e):
         return complex(e[0], e[1])
     raise ParseError(f"bad matrix entry: {e!r}")
 
@@ -65,7 +70,7 @@ def system_from_dict(data: dict) -> FusionSystem:
         if data.get("format_version") != FORMAT_VERSION:
             raise ParseError(f"unsupported format_version {data.get('format_version')!r}")
         dim = data["ambient_dim"]
-        if not isinstance(dim, int) or dim < 1:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise ParseError(f"bad ambient_dim {dim!r}")
         raw = data["subspaces"]
         if not isinstance(raw, list) or not raw:
@@ -73,7 +78,7 @@ def system_from_dict(data: dict) -> FusionSystem:
         members = []
         for k, sub in enumerate(raw):
             weight = sub["weight"]
-            if not isinstance(weight, (int, float)) or weight <= 0:
+            if not _is_number(weight) or weight <= 0:
                 raise ParseError(f"subspace {k}: weight must be positive")
             cols = sub["basis"]
             if not isinstance(cols, list) or not cols:

@@ -144,14 +144,17 @@ def frame_operator(sys: FusionSystem) -> np.ndarray:
     return 0.5 * (s + adjoint(s))
 
 
-def frame_bounds(sys: FusionSystem) -> FrameBounds:
-    """Optimal bounds = extremal eigenvalues of the frame operator."""
-    eigenvalues = sys.spectrum.eigenvalues
-    lower = float(eigenvalues[0])
-    upper = float(eigenvalues[-1])
+def _bounds_from_eigenvalues(eigenvalues: np.ndarray) -> FrameBounds:
+    """Extremal eigenvalues of a frame operator, classified by the one rule."""
+    lower, upper = float(eigenvalues.min()), float(eigenvalues.max())
     is_frame = lower > FRAME_TOL_REL * max(upper, 0.0)
     is_tight = is_frame and (upper - lower) <= TIGHT_TOL * upper
     return FrameBounds(lower=lower, upper=upper, is_frame=is_frame, is_tight=is_tight)
+
+
+def frame_bounds(sys: FusionSystem) -> FrameBounds:
+    """Optimal bounds = extremal eigenvalues of the frame operator."""
+    return _bounds_from_eigenvalues(sys.spectrum.eigenvalues)
 
 
 def inverse_frame_operator(sys: FusionSystem) -> np.ndarray:
@@ -180,12 +183,21 @@ def canonical_dual(sys: FusionSystem) -> FusionSystem:
     return _canonical_dual(sys, inverse_frame_operator(sys))
 
 
-def _dual_sum(sys: FusionSystem, cand: FusionSystem, s_inv: np.ndarray) -> np.ndarray:
+def _dual_sum(
+    sys: FusionSystem, cand: FusionSystem, s_inv: np.ndarray | None = None
+) -> np.ndarray:
     """sum_i v_i v'_i P_{V'_i} S^{-1} P_{V_i}, never forming a projection.
 
     Term i is (v'_i D_i)(D_i^H S^{-1} B_i)(v_i B_i)^H with D_i, B_i the
     member bases: O(n^2 k_i) work, and one GEMM sums the outer products.
+    Without ``s_inv``, checks the candidate first and forms S^{-1} itself.
     """
+    if s_inv is None:
+        if cand.ambient_dim != sys.ambient_dim:
+            raise DimensionMismatch("candidate lives on a different space")
+        if len(cand.members) != len(sys.members):
+            raise ArityMismatch(f"{len(cand.members)} candidate members for {len(sys.members)}")
+        s_inv = inverse_frame_operator(sys)
     left = []
     for m, c in zip(sys.members, cand.members):
         d = c.basis.matrix
@@ -193,18 +205,16 @@ def _dual_sum(sys: FusionSystem, cand: FusionSystem, s_inv: np.ndarray) -> np.nd
     return np.hstack(left) @ adjoint(_synthesis_matrix(sys))
 
 
-def _check_candidate(sys: FusionSystem, cand: FusionSystem) -> None:
-    if cand.ambient_dim != sys.ambient_dim:
-        raise DimensionMismatch("candidate lives on a different space")
-    if len(cand.members) != len(sys.members):
-        raise ArityMismatch(f"{len(cand.members)} candidate members for {len(sys.members)}")
+def _identity_residual(m: np.ndarray) -> float:
+    """||M - I||_F / sqrt(dim)."""
+    n = m.shape[0]
+    return float(np.linalg.norm(m - np.eye(n))) / np.sqrt(n)
 
 
 def reconstruct(sys: FusionSystem, dual: FusionSystem, f) -> np.ndarray:
     """Apply sum_i v_i v'_i P_{V'_i} S^{-1} P_{V_i} to f (equals f for a dual)."""
     v = _ambient_vector(sys, f)
-    _check_candidate(sys, dual)
-    return _dual_sum(sys, dual, inverse_frame_operator(sys)) @ v
+    return _dual_sum(sys, dual) @ v
 
 
 def reconstruct_canonical(sys: FusionSystem, f) -> np.ndarray:
@@ -221,10 +231,7 @@ def is_alternative_dual(
 
     Returns (verdict, residual) with residual = ||sum - I||_F / sqrt(dim).
     """
-    _check_candidate(sys, cand)
-    n = sys.ambient_dim
-    dual_sum = _dual_sum(sys, cand, inverse_frame_operator(sys))
-    residual = float(np.linalg.norm(dual_sum - np.eye(n))) / np.sqrt(n)
+    residual = _identity_residual(_dual_sum(sys, cand))
     return residual <= dual_tol, residual
 
 
@@ -243,7 +250,7 @@ def check_resolution_of_identity(
     for m in mats:
         if m.shape != (n, n):
             raise DimensionMismatch(f"expected {n}x{n} operators, got {m.shape}")
-    residual = float(np.linalg.norm(sum(mats) - np.eye(n))) / np.sqrt(n)
+    residual = _identity_residual(sum(mats))
     return residual <= roi_tol, residual
 
 

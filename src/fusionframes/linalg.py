@@ -18,7 +18,6 @@ from .errors import NotHermitian, Singular, ZeroSubspace
 
 # Default tolerances.
 TOL_ORTHO = 1e-12
-TOL_EIG = 1e-10
 TOL_HERMITIAN = 1e-10
 
 _EPS = np.finfo(float).eps
@@ -64,8 +63,10 @@ class SubspaceBasis:
         n, k = m.shape
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= sub_dim <= ambient_dim, got {k}, {n}")
-        gram = adjoint(m) @ m
-        if np.linalg.norm(gram - np.eye(k)) > TOL_ORTHO * max(1.0, np.sqrt(k)):
+        # Huge entries overflow the Gram matrix to inf or NaN; both must fail.
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = np.linalg.norm(adjoint(m) @ m - np.eye(k))
+        if not (defect <= TOL_ORTHO * max(1.0, np.sqrt(k))):
             raise ValueError("columns are not orthonormal")
 
     @property

@@ -8,20 +8,23 @@ kron(P_{V_i}, P_{W_j}).  Members enumerate (i, j) in row-major order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotADual, NotAFrame, NotUnitary
 from .frames import (
+    DUAL_TOL,
     FrameBounds,
     FusionSystem,
     WeightedSubspace,
+    _bounds_from_eigenvalues,
+    _dual_sum,
+    _identity_residual,
     canonical_dual,
     frame_bounds,
     frame_operator,
-    frame_operator_norms,
     inverse_frame_operator,
-    is_alternative_dual,
     projection,
     transport_subspace,
 )
@@ -32,11 +35,24 @@ UNITARY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TensorSystem:
-    """Tensor-product fusion system with factor provenance."""
+    """Tensor-product fusion system, stored as its two factors (V, W).
 
-    base: FusionSystem                      # system on dim(H)*dim(K)
-    pair_index: tuple[tuple[int, int], ...]  # member k came from factors (i, j)
+    Member k is the pair (i, j) = divmod(k, len(W)).  Bounds, duals and the
+    dual test work on the factors; ``base`` is the dense product.
+    """
+
     factors: tuple[FusionSystem, FusionSystem]
+
+    @cached_property
+    def base(self) -> FusionSystem:
+        """The dense product system on dim(H)*dim(K), built on first use."""
+        v, w = self.factors
+        members = []
+        for mv in v.members:
+            for mw in w.members:
+                basis = SubspaceBasis(np.kron(mv.basis.matrix, mw.basis.matrix))
+                members.append(WeightedSubspace(basis=basis, weight=mv.weight * mw.weight))
+        return FusionSystem(ambient_dim=v.ambient_dim * w.ambient_dim, members=tuple(members))
 
 
 @dataclass(frozen=True)
@@ -47,26 +63,15 @@ class RoiFamily:
     scalars: tuple[float, ...]       # the v_i^2 w_j^2 prefactors
 
 
-def _tensor_members(v: FusionSystem, w: FusionSystem):
-    members, pairs = [], []
-    for i, mv in enumerate(v.members):
-        for j, mw in enumerate(w.members):
-            basis = SubspaceBasis(np.kron(mv.basis.matrix, mw.basis.matrix))
-            members.append(WeightedSubspace(basis=basis, weight=mv.weight * mw.weight))
-            pairs.append((i, j))
-    return tuple(members), tuple(pairs)
-
-
 def tensor_system(v: FusionSystem, w: FusionSystem) -> TensorSystem:
-    """Build {(V_i (x) W_j, v_i w_j)} over I x J in row-major order."""
-    members, pairs = _tensor_members(v, w)
-    base = FusionSystem(ambient_dim=v.ambient_dim * w.ambient_dim, members=members)
-    return TensorSystem(base=base, pair_index=pairs, factors=(v, w))
+    """The system {(V_i (x) W_j, v_i w_j)} over I x J in row-major order."""
+    return TensorSystem(factors=(v, w))
 
 
 def tensor_frame_bounds(ts: TensorSystem) -> FrameBounds:
-    """Optimal bounds of the tensor system (products of factor bounds)."""
-    return frame_bounds(ts.base)
+    """Optimal bounds: the extremal products of factor eigenvalues, as S_{VxW} = S_V (x) S_W."""
+    v, w = ts.factors
+    return _bounds_from_eigenvalues(np.outer(v.spectrum.eigenvalues, w.spectrum.eigenvalues))
 
 
 def check_operator_factorization(
@@ -93,6 +98,11 @@ def _require_unitary(t: np.ndarray, name: str):
         raise NotUnitary(f"{name} is not unitary within tolerance")
 
 
+def _transport_system(t: np.ndarray, sys: FusionSystem) -> FusionSystem:
+    members = [WeightedSubspace(transport_subspace(t, m.basis), m.weight) for m in sys.members]
+    return FusionSystem(ambient_dim=sys.ambient_dim, members=tuple(members))
+
+
 def transport_tensor_system(
     t1, t2, ts: TensorSystem, unitary_only: bool = True
 ) -> TensorSystem:
@@ -108,19 +118,7 @@ def transport_tensor_system(
         _require_unitary(m1, "T1")
         _require_unitary(m2, "T2")
     v, w = ts.factors
-    v_t = FusionSystem(
-        ambient_dim=v.ambient_dim,
-        members=tuple(
-            WeightedSubspace(transport_subspace(m1, m.basis), m.weight) for m in v.members
-        ),
-    )
-    w_t = FusionSystem(
-        ambient_dim=w.ambient_dim,
-        members=tuple(
-            WeightedSubspace(transport_subspace(m2, m.basis), m.weight) for m in w.members
-        ),
-    )
-    return tensor_system(v_t, w_t)
+    return tensor_system(_transport_system(m1, v), _transport_system(m2, w))
 
 
 def roi_tensor(v: FusionSystem, w: FusionSystem) -> RoiFamily:
@@ -154,10 +152,16 @@ def canonical_dual_tensor(ts: TensorSystem) -> TensorSystem:
 
 
 def is_alternative_dual_tensor(
-    ts: TensorSystem, cand: TensorSystem, dual_tol: float = 1e-8
+    ts: TensorSystem, cand: TensorSystem, dual_tol: float = DUAL_TOL
 ) -> tuple[bool, float]:
-    """Test sum v_i w_j v'_i w'_j P_{V'_i x W'_j} S_{VxW}^{-1} P_{V_i x W_j} = I."""
-    return is_alternative_dual(ts.base, cand.base, dual_tol=dual_tol)
+    """Test sum v_i w_j v'_i w'_j P_{V'_i x W'_j} S_{VxW}^{-1} P_{V_i x W_j} = I.
+
+    The sum is the kron of the two factor dual sums, so cand pairs factor
+    with factor.  Residual as in :func:`fusionframes.frames.is_alternative_dual`.
+    """
+    (v, w), (cv, cw) = ts.factors, cand.factors
+    residual = _identity_residual(kron(_dual_sum(v, cv), _dual_sum(w, cw)))
+    return residual <= dual_tol, residual
 
 
 def alt_dual_frame_check(
@@ -166,18 +170,16 @@ def alt_dual_frame_check(
     """Bounds of an alternative dual, checked against the guaranteed floor.
 
     The dual's optimal lower bound must reach 1 / (D1 * D2 * ||S^{-1}||^2)
-    where D1, D2 are the factor upper bounds of the primary system.
+    where D1, D2 are the factor upper bounds of the primary system.  With
+    D1 * D2 = B and ||S^{-1}|| = 1 / A for its bounds A, B, that is A^2 / B.
     Raises NotADual when cand fails the dual identity.
     """
     ok, residual = is_alternative_dual_tensor(ts, cand)
     if not ok:
         raise NotADual(f"dual identity residual {residual:.3e}")
-    v, w = ts.factors
-    d1 = frame_bounds(v).upper
-    d2 = frame_bounds(w).upper
-    _, s_inv_norm = frame_operator_norms(ts.base)
-    bounds = frame_bounds(cand.base)
-    floor = 1.0 / (d1 * d2 * s_inv_norm**2)
+    primary = tensor_frame_bounds(ts)
+    bounds = tensor_frame_bounds(cand)
+    floor = primary.lower**2 / primary.upper
     if not bounds.is_frame or bounds.lower < floor - slack:
         raise NotADual(
             f"dual lower bound {bounds.lower:.6e} below guaranteed floor {floor:.6e}"

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,37 @@ class TestFileFormat:
     def test_rejects_non_json(self):
         with pytest.raises(ParseError):
             loads_system("not json {")
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            {"ambient_dim": True, "subspaces": [{"weight": 1.0, "basis": [[1.0]]}]},
+            {"subspaces": [{"weight": True, "basis": [[1.0, 0.0]]}]},
+            {"subspaces": [{"weight": 1.0, "basis": [[True, 0.0]]}]},
+            {"subspaces": [{"weight": 1.0, "basis": [[[1.0, False], [0.0, 0.0]]]}]},
+        ],
+    )
+    def test_rejects_json_booleans(self, mutation, tmp_path, capsys):
+        text = json.dumps({**V2_FILE, **mutation})
+        with pytest.raises(ParseError):
+            loads_system(text)
+        path = tmp_path / "bool.json"
+        path.write_text(text)
+        assert main(["check", "--in", str(path)]) == 3
+
+    @pytest.mark.parametrize(
+        "column, expected",
+        [
+            ([[1e200, 1e200], [1e200, -1e200]], [0.5 + 0.5j, 0.5 - 0.5j]),
+            ([1e300, 1e308], [1e-8, 1.0]),
+        ],
+    )
+    def test_loader_orthonormalizes_huge_entries_silently(self, column, expected):
+        data = {**V2_FILE, "subspaces": [{"weight": 1.0, "basis": [column]}]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sys_ = loads_system(json.dumps(data))
+        np.testing.assert_allclose(sys_.members[0].basis.matrix[:, 0], expected, atol=1e-15)
 
 
 class TestGenerate:
@@ -234,6 +266,10 @@ class TestReconstruct:
     def test_nonframe_exits_4(self, nonframe_path):
         assert main(["reconstruct", "--in", nonframe_path, "--vector", "[1, 0]"]) == 4
 
+    @pytest.mark.parametrize("vector", ["[true, 0]", "[[1, 0, 2], 0]", "[1", "[\"1\", 0]", "3"])
+    def test_bad_vector_exits_2(self, v2_path, vector):
+        assert main(["reconstruct", "--in", v2_path, "--vector", vector]) == 2
+
     def test_arity_mismatch_exits_5(self, v2_path, parseval_path, tmp_path):
         # A dual file with the wrong member count.
         data = dict(V2_FILE)
@@ -242,6 +278,16 @@ class TestReconstruct:
         p.write_text(json.dumps(data))
         assert main(["reconstruct", "--in", v2_path, "--vector", "[1, 0]",
                      "--dual", str(p)]) == 5
+
+    def test_dimension_mismatch_exits_5(self, v2_path, tmp_path, capsys):
+        # A dual file with the right member count on a different space.
+        data = {**V2_FILE, "ambient_dim": 3}
+        data["subspaces"] = [{"weight": 1.0, "basis": [[1.0, 0.0, 0.0]]}] * 2
+        p = tmp_path / "dim3.json"
+        p.write_text(json.dumps(data))
+        assert main(["reconstruct", "--in", v2_path, "--vector", "[1, 0]",
+                     "--dual", str(p)]) == 5
+        assert "different space" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -276,3 +276,8 @@ class TestSubspaceBasis:
     def test_rejects_too_many_columns(self):
         with pytest.raises(ValueError):
             SubspaceBasis(np.ones((2, 3)))
+
+    def test_rejects_basis_whose_gram_overflows(self):
+        # The Gram entry overflows to NaN, and NaN > tol is False.
+        with pytest.raises(ValueError):
+            SubspaceBasis(np.array([[1e200 + 1e200j], [1e200 - 1e200j]]))

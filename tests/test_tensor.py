@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from fusionframes import (
     check_operator_factorization,
     frame_bounds,
     frame_operator,
+    is_alternative_dual,
     is_alternative_dual_tensor,
     kron,
     projection,
@@ -49,7 +52,12 @@ class TestTensorSystem:
         assert len(ts.base.members) == 4
         assert all(m.basis.sub_dim == 1 for m in ts.base.members)
         np.testing.assert_allclose(frame_operator(ts.base), np.eye(4), atol=1e-14)
-        assert ts.pair_index == ((0, 0), (0, 1), (1, 0), (1, 1))
+        for member, (i, j) in zip(ts.base.members, itertools.product(range(2), range(2))):
+            p_fact = kron(
+                projection(parseval_system.members[i].basis),
+                projection(parseval_system.members[j].basis),
+            )
+            assert np.linalg.norm(projection(member.basis) - p_fact) <= 1e-14
 
     def test_v2_tensor_frame_operator(self, v2_system):
         ts = tensor_system(v2_system, v2_system)
@@ -63,7 +71,7 @@ class TestTensorSystem:
 
     def test_projection_factorization(self, v2_system):
         ts = tensor_system(v2_system, v2_system)
-        for member, (i, j) in zip(ts.base.members, ts.pair_index):
+        for member, (i, j) in zip(ts.base.members, itertools.product(range(2), range(2))):
             p_fact = kron(
                 projection(v2_system.members[i].basis), projection(v2_system.members[j].basis)
             )
@@ -74,8 +82,74 @@ class TestTensorSystem:
         v = random_frame(rng, 2)
         w = random_frame(rng, 3)
         ts = tensor_system(v, w)
-        for member, (i, j) in zip(ts.base.members, ts.pair_index):
+        assert len(ts.base.members) == len(v) * len(w)
+        for k, member in enumerate(ts.base.members):
+            i, j = divmod(k, len(w))
             assert member.weight == pytest.approx(v.members[i].weight * w.members[j].weight)
+
+
+class TestFactorwiseAgainstDense:
+    """The factorwise paths against the dense product ``ts.base``."""
+
+    def test_bounds_match_dense(self, v2_system):
+        rng = np.random.default_rng(6)
+        e1 = SubspaceBasis(np.array([[1.0], [0.0]]))
+        nonframe = FusionSystem(2, (WeightedSubspace(e1, 1.0), WeightedSubspace(e1, 2.0)))
+        pairs = [(random_frame(rng, 3), random_frame(rng, 4), True) for _ in range(3)]
+        pairs += [(nonframe, v2_system, False), (v2_system, nonframe, False)]
+        pairs += [(nonframe, nonframe, False)]
+        for v, w, is_frame in pairs:
+            ts = tensor_system(v, w)
+            fw, dense = tensor_frame_bounds(ts), frame_bounds(ts.base)
+            assert fw.is_frame == dense.is_frame == is_frame
+            assert fw.is_tight == dense.is_tight
+            assert abs(fw.lower - dense.lower) <= 1e-12 * dense.upper
+            assert abs(fw.upper - dense.upper) <= 1e-12 * dense.upper
+
+    def test_dual_verdicts_match_dense(self):
+        rng = np.random.default_rng(7)
+        v, w = random_frame(rng, 3), random_frame(rng, 3)
+        ts = tensor_system(v, w)
+        dv, dw = canonical_dual(v), canonical_dual(w)
+        scaled = FusionSystem(3, (WeightedSubspace(dv.members[0].basis, 1.5),) + dv.members[1:])
+        cands = [tensor_system(dv, dw), tensor_system(dw, dv), tensor_system(scaled, dw)]
+        verdicts = []
+        for cand in cands:
+            ok, residual = is_alternative_dual_tensor(ts, cand)
+            ok_dense, residual_dense = is_alternative_dual(ts.base, cand.base)
+            assert ok == ok_dense
+            assert abs(residual - residual_dense) <= 1e-12 * max(1.0, residual_dense)
+            verdicts.append(ok)
+        assert verdicts == [True, False, False]
+
+    def test_factor_of_wrong_arity(self):
+        # Six members on each side, but paired 2 x 3 against 3 x 2.
+        rng = np.random.default_rng(8)
+        v = random_fusion_system(2, 2, 1, (0.5, 2.0), rng)
+        w = random_fusion_system(3, 3, 1, (0.5, 2.0), rng)
+        cand = tensor_system(
+            random_fusion_system(2, 3, 1, (0.5, 2.0), rng),
+            random_fusion_system(3, 2, 1, (0.5, 2.0), rng),
+        )
+        with pytest.raises(ArityMismatch):
+            is_alternative_dual_tensor(tensor_system(v, w), cand)
+
+    def test_factorwise_paths_never_build_the_product(self):
+        rng = np.random.default_rng(9)
+        v, w = random_frame(rng, 3), random_frame(rng, 2)
+        ts = tensor_system(v, w)
+        dual = canonical_dual_tensor(ts)
+        cand = tensor_system(canonical_dual(v), canonical_dual(w))
+        tensor_frame_bounds(ts)
+        is_alternative_dual_tensor(ts, cand)
+        alt_dual_frame_check(ts, dual)
+        moved = transport_tensor_system(
+            np.linalg.qr(rng.standard_normal((3, 3)))[0], np.eye(2), ts
+        )
+        tensor_frame_bounds(moved)
+        for t in (ts, dual, cand, moved):
+            assert "base" not in t.__dict__
+        assert ts.base is ts.base and "base" in ts.__dict__
 
 
 class TestTensorBounds:
@@ -209,7 +283,7 @@ class TestTensorDuals:
         ts = tensor_system(v2_system, v2_system)
         dual = canonical_dual_tensor(ts)
         factor_dual = canonical_dual(v2_system)
-        for member, (i, j) in zip(dual.base.members, dual.pair_index):
+        for member, (i, j) in zip(dual.base.members, itertools.product(range(2), range(2))):
             p_fact = kron(
                 projection(factor_dual.members[i].basis),
                 projection(factor_dual.members[j].basis),
