@@ -28,8 +28,8 @@ from .linalg import (
 
 FRAME_TOL_REL = 1e-10   # lower bound must exceed this multiple of ||S||
 TIGHT_TOL = 1e-9        # (B - A) <= TIGHT_TOL * B counts as tight
-DUAL_TOL = 1e-8
-ROI_TOL = 1e-8
+DUAL_TOL = 1e-8         # ||sum - I||_F / sqrt(n), absolute
+ROI_TOL = 1e-8          # ||sum - I||_F / sqrt(n), absolute
 
 
 @dataclass(frozen=True)
@@ -224,20 +224,16 @@ def reconstruct_canonical(sys: FusionSystem, f) -> np.ndarray:
     return _dual_sum(sys, _canonical_dual(sys, s_inv), s_inv) @ v
 
 
-def is_alternative_dual(
-    sys: FusionSystem, cand: FusionSystem, dual_tol: float = DUAL_TOL
-) -> tuple[bool, float]:
+def is_alternative_dual(sys: FusionSystem, cand: FusionSystem) -> tuple[bool, float]:
     """Test sum_i v_i v'_i P_{V'_i} S^{-1} P_{V_i} = I.
 
     Returns (verdict, residual) with residual = ||sum - I||_F / sqrt(dim).
     """
     residual = _identity_residual(_dual_sum(sys, cand))
-    return residual <= dual_tol, residual
+    return residual <= DUAL_TOL, residual
 
 
-def check_resolution_of_identity(
-    ops: Sequence, roi_tol: float = ROI_TOL
-) -> tuple[bool, float]:
+def check_resolution_of_identity(ops: Sequence) -> tuple[bool, float]:
     """Does the (finite) operator family sum to the identity?
 
     Unconditional convergence is vacuous for finite lists.  Residual is
@@ -251,7 +247,7 @@ def check_resolution_of_identity(
         if m.shape != (n, n):
             raise DimensionMismatch(f"expected {n}x{n} operators, got {m.shape}")
     residual = _identity_residual(sum(mats))
-    return residual <= roi_tol, residual
+    return residual <= ROI_TOL, residual
 
 
 def transport_subspace(t, basis: SubspaceBasis) -> SubspaceBasis:

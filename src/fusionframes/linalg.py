@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import NotHermitian, Singular, ZeroSubspace
 
-# Default tolerances.
-TOL_ORTHO = 1e-12
-TOL_HERMITIAN = 1e-10
+TOL_ORTHO = 1e-12       # ||B^H B - I||_F, relative to max(1, sqrt(columns))
+TOL_HERMITIAN = 1e-10   # ||A - A^H||_F, relative to max(||A||_F, 1)
 
 _EPS = np.finfo(float).eps
 
@@ -86,12 +85,11 @@ class Spectrum:
     eigenvectors: np.ndarray  # unitary, column k pairs with eigenvalues[k]
 
 
-def orthonormalize(spanning: Sequence, tol_rank: float | None = None) -> SubspaceBasis:
+def orthonormalize(spanning: Sequence) -> SubspaceBasis:
     """Orthonormal basis of the span of the given vectors.
 
-    Rank is revealed by SVD: singular values > tol_rank * sigma_max are
-    kept.  The default threshold is ambient_dim * machine-eps, the usual
-    backward-stable choice.
+    Rank is revealed by SVD: singular values > ambient_dim * machine-eps *
+    sigma_max are kept, the usual backward-stable choice.
 
     Raises ZeroSubspace when the numerical rank is 0.
     """
@@ -102,13 +100,10 @@ def orthonormalize(spanning: Sequence, tol_rank: float | None = None) -> Subspac
     if len(dims) > 1:
         raise ValueError(f"mixed vector dimensions: {sorted(dims)}")
     a = np.column_stack(cols)
-    n = a.shape[0]
-    if tol_rank is None:
-        tol_rank = n * _EPS
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise ZeroSubspace("spanning set has rank 0")
-    rank = int(np.count_nonzero(s > tol_rank * s[0]))
+    rank = int(np.count_nonzero(s > a.shape[0] * _EPS * s[0]))
     if rank == 0:
         raise ZeroSubspace("spanning set has numerical rank 0")
     q = u[:, :rank]
@@ -123,7 +118,7 @@ def orthonormalize(spanning: Sequence, tol_rank: float | None = None) -> Subspac
 def hermitian_eig(a) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Raises NotHermitian when ||A - A^H||_F > 1e-10 * ||A||_F.
+    Raises NotHermitian when ||A - A^H||_F > TOL_HERMITIAN * max(||A||_F, 1).
     """
     m = as_operator(a)
     if m.shape[0] != m.shape[1]:

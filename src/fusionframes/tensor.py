@@ -30,7 +30,9 @@ from .frames import (
 )
 from .linalg import SubspaceBasis, adjoint, as_operator, invert, kron, rel_fro
 
-UNITARY_TOL = 1e-10
+UNITARY_TOL = 1e-10             # ||T^H T - I||_F, relative to sqrt(n)
+FACTORIZATION_TOL = 1e-10       # ||S_{VxW} - S_V x S_W||_F, relative to ||S_V x S_W||_F
+INVERSE_FACTORIZATION_TOL = 1e-9  # the same for the inverses, relative to ||S_V^-1 x S_W^-1||_F
 
 
 @dataclass(frozen=True)
@@ -74,21 +76,19 @@ def tensor_frame_bounds(ts: TensorSystem) -> FrameBounds:
     return _bounds_from_eigenvalues(np.outer(v.spectrum.eigenvalues, w.spectrum.eigenvalues))
 
 
-def check_operator_factorization(
-    ts: TensorSystem, tol_s: float = 1e-10, tol_inv: float = 1e-9
-) -> tuple[bool, dict[str, float]]:
+def check_operator_factorization(ts: TensorSystem) -> tuple[bool, dict[str, float]]:
     """Verify S_{VxW} = kron(S_V, S_W) and, when invertible, the same for inverses."""
     v, w = ts.factors
     s_t = frame_operator(ts.base)
     r_s = rel_fro(s_t, kron(frame_operator(v), frame_operator(w)))
     residuals = {"frame_operator": r_s}
-    ok = r_s <= tol_s
+    ok = r_s <= FACTORIZATION_TOL
     if frame_bounds(v).is_frame and frame_bounds(w).is_frame:
         r_inv = rel_fro(
             invert(s_t), kron(invert(frame_operator(v)), invert(frame_operator(w)))
         )
         residuals["inverse"] = r_inv
-        ok = ok and r_inv <= tol_inv
+        ok = ok and r_inv <= INVERSE_FACTORIZATION_TOL
     return ok, residuals
 
 
@@ -103,20 +103,15 @@ def _transport_system(t: np.ndarray, sys: FusionSystem) -> FusionSystem:
     return FusionSystem(ambient_dim=sys.ambient_dim, members=tuple(members))
 
 
-def transport_tensor_system(
-    t1, t2, ts: TensorSystem, unitary_only: bool = True
-) -> TensorSystem:
+def transport_tensor_system(t1, t2, ts: TensorSystem) -> TensorSystem:
     """Image system {((T1 x T2)(V_i x W_j), v_i w_j)}.
 
-    By default both operators must be unitary, the hypothesis under which
-    the transported system is provably a frame.  Passing
-    unitary_only=False accepts any invertible operators and simply builds
-    the image system without asserting bound guarantees (experimental).
+    Both operators must be unitary, the hypothesis under which the
+    transported system is provably a frame; raises NotUnitary otherwise.
     """
     m1, m2 = as_operator(t1), as_operator(t2)
-    if unitary_only:
-        _require_unitary(m1, "T1")
-        _require_unitary(m2, "T2")
+    _require_unitary(m1, "T1")
+    _require_unitary(m2, "T2")
     v, w = ts.factors
     return tensor_system(_transport_system(m1, v), _transport_system(m2, w))
 
@@ -129,11 +124,11 @@ def roi_tensor(v: FusionSystem, w: FusionSystem) -> RoiFamily:
     """
     sv_inv = inverse_frame_operator(v)
     sw_inv = inverse_frame_operator(w)
+    u_ops = [projection(mw.basis) @ sw_inv for mw in w.members]
     ops, scalars = [], []
     for mv in v.members:
         t_i = projection(mv.basis) @ sv_inv
-        for mw in w.members:
-            u_j = projection(mw.basis) @ sw_inv
+        for mw, u_j in zip(w.members, u_ops):
             ops.append(kron(t_i, u_j))
             scalars.append(mv.weight**2 * mw.weight**2)
     return RoiFamily(ops=tuple(ops), scalars=tuple(scalars))
@@ -151,9 +146,7 @@ def canonical_dual_tensor(ts: TensorSystem) -> TensorSystem:
     return tensor_system(canonical_dual(v), canonical_dual(w))
 
 
-def is_alternative_dual_tensor(
-    ts: TensorSystem, cand: TensorSystem, dual_tol: float = DUAL_TOL
-) -> tuple[bool, float]:
+def is_alternative_dual_tensor(ts: TensorSystem, cand: TensorSystem) -> tuple[bool, float]:
     """Test sum v_i w_j v'_i w'_j P_{V'_i x W'_j} S_{VxW}^{-1} P_{V_i x W_j} = I.
 
     The sum is the kron of the two factor dual sums, so cand pairs factor
@@ -161,7 +154,7 @@ def is_alternative_dual_tensor(
     """
     (v, w), (cv, cw) = ts.factors, cand.factors
     residual = _identity_residual(kron(_dual_sum(v, cv), _dual_sum(w, cw)))
-    return residual <= dual_tol, residual
+    return residual <= DUAL_TOL, residual
 
 
 def alt_dual_frame_check(

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ class TestGenerate:
             out = str(tmp_path / name)
             assert main(["generate", "--dim", "3", "--subspaces", "3", "--max-subdim", "2",
                          "--seed", "7", "--weights", "0.5:2", "--out", out]) == 0
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
     def test_bad_max_subdim_exits_2(self, capsys):

@@ -231,15 +231,25 @@ class TestTransport:
         with pytest.raises(NotUnitary):
             transport_tensor_system(np.diag([1.0, 2.0]), np.eye(2), ts)
 
-    def test_invertible_accepted_with_flag(self, v2_system):
-        ts = tensor_system(v2_system, v2_system)
-        moved = transport_tensor_system(
-            np.diag([1.0, 2.0]), np.eye(2), ts, unitary_only=False
-        )
-        assert tensor_frame_bounds(moved).is_frame
-
 
 class TestRoiTensor:
+    def test_one_projection_per_factor_member(self, monkeypatch):
+        import fusionframes.tensor as tensor_mod
+
+        v = random_fusion_system(3, 4, 2, (0.5, 2.0), 11)
+        w = random_fusion_system(2, 3, 1, (0.5, 2.0), 12)
+        calls = []
+        real = tensor_mod.projection
+
+        def counted(basis):
+            calls.append(basis)
+            return real(basis)
+
+        monkeypatch.setattr(tensor_mod, "projection", counted)
+        fam = roi_tensor(v, w)
+        assert len(fam.ops) == len(v) * len(w)
+        assert len(calls) == len(v) + len(w)
+
     def test_parseval(self, parseval_system):
         fam = roi_tensor(parseval_system, parseval_system)
         acc = sum(s * op for s, op in zip(fam.scalars, fam.ops))
