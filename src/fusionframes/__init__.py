@@ -38,6 +38,7 @@ from .frames import (
     transport_subspace,
 )
 from .linalg import (
+    KronOperator,
     Spectrum,
     SubspaceBasis,
     hermitian_eig,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotHermitian, Singular, ZeroSubspace
+from .errors import DimensionMismatch, NotHermitian, Singular, ZeroSubspace
 
 TOL_ORTHO = 1e-12       # ||B^H B - I||_F, relative to max(1, sqrt(columns))
 TOL_HERMITIAN = 1e-10   # ||A - A^H||_F, relative to max(||A||_F, 1)
@@ -133,6 +133,45 @@ def hermitian_eig(a) -> Spectrum:
 def kron(q, t) -> np.ndarray:
     """Kronecker product; the concrete model of the operator tensor Q (x) T."""
     return np.kron(as_operator(q), as_operator(t))
+
+
+@dataclass(frozen=True)
+class KronOperator:
+    """The operator kron(left, right) on C^m (x) C^n, never formed.
+
+    ``op @ x`` takes a (m*n,) vector or a (m*n, p) block of columns and
+    applies the vec trick vec(left X right^T), X = x.reshape(m, n) (Van Loan,
+    "The ubiquitous Kronecker product", J. Comput. Appl. Math. 123 (2000),
+    sec. 3): two matrix products in the row-major i * n + j pairing, at
+    O(mn(m + n)) flops per column instead of O((mn)^2).  ``np.asarray(op)``
+    is the dense ``np.kron(left, right)``.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+
+    # Numpy arithmetic would densify through __array__; make it a TypeError.
+    __array_ufunc__ = None
+
+    @property
+    def nbytes(self) -> int:
+        return self.left.nbytes + self.right.nbytes
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        m, n = self.left.shape[1], self.right.shape[1]
+        if x.ndim not in (1, 2) or x.shape[0] != m * n:
+            raise DimensionMismatch(
+                f"operand has shape {x.shape}, operator acts on dimension {m * n}"
+            )
+        y = (self.left @ x.reshape(m, -1)).reshape(self.left.shape[0], n, -1)
+        return (self.right @ y).reshape(-1, *x.shape[1:])
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a KronOperator has no dense array to view")
+        dense = np.kron(self.left, self.right)
+        return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
 def tensor_vector(f, g) -> np.ndarray:

@@ -28,7 +28,7 @@ from .frames import (
     projection,
     transport_subspace,
 )
-from .linalg import SubspaceBasis, adjoint, as_operator, invert, kron, rel_fro
+from .linalg import KronOperator, SubspaceBasis, adjoint, as_operator, invert, kron, rel_fro
 
 UNITARY_TOL = 1e-10             # ||T^H T - I||_F, relative to sqrt(n)
 FACTORIZATION_TOL = 1e-10       # ||S_{VxW} - S_V x S_W||_F, relative to ||S_V x S_W||_F
@@ -59,9 +59,14 @@ class TensorSystem:
 
 @dataclass(frozen=True)
 class RoiFamily:
-    """Scaled operator family summing to the identity on the product space."""
+    """Scaled operator family summing to the identity on the product space.
 
-    ops: tuple[np.ndarray, ...]
+    Member k is ``KronOperator(T_i, U_j)`` for (i, j) = divmod(k, len(W)),
+    held as its two factors: apply it with ``op @ x``, densify it with
+    ``np.asarray(op)``.
+    """
+
+    ops: tuple[KronOperator, ...]
     scalars: tuple[float, ...]       # the v_i^2 w_j^2 prefactors
 
 
@@ -119,8 +124,9 @@ def transport_tensor_system(t1, t2, ts: TensorSystem) -> TensorSystem:
 def roi_tensor(v: FusionSystem, w: FusionSystem) -> RoiFamily:
     """Resolution of the identity {v_i^2 w_j^2 kron(P_{V_i} S_V^{-1}, P_{W_j} S_W^{-1})}.
 
-    Uses the canonical factor split a = b = 1.  Raises NotAFrame unless
-    both factors are frames.
+    Uses the canonical factor split a = b = 1.  Each member is a
+    KronOperator over one projection per factor member; no product-space
+    matrix is built.  Raises NotAFrame unless both factors are frames.
     """
     sv_inv = inverse_frame_operator(v)
     sw_inv = inverse_frame_operator(w)
@@ -129,7 +135,7 @@ def roi_tensor(v: FusionSystem, w: FusionSystem) -> RoiFamily:
     for mv in v.members:
         t_i = projection(mv.basis) @ sv_inv
         for mw, u_j in zip(w.members, u_ops):
-            ops.append(kron(t_i, u_j))
+            ops.append(KronOperator(t_i, u_j))
             scalars.append(mv.weight**2 * mw.weight**2)
     return RoiFamily(ops=tuple(ops), scalars=tuple(scalars))
 

@@ -360,7 +360,9 @@ def _check_n3_11(rng, dims, tol):
 def _check_t3_12(rng, dims, tol):
     v, w = _frame_pair(rng, dims)
     fam = roi_tensor(v, w)
-    _, r_sum = check_resolution_of_identity([s * op for s, op in zip(fam.scalars, fam.ops)])
+    _, r_sum = check_resolution_of_identity(
+        [s * np.asarray(op) for s, op in zip(fam.scalars, fam.ops)]
+    )
     bv, bw = frame_bounds(v), frame_bounds(w)
     lo = bv.lower * bw.lower / (bv.upper**2 * bw.upper**2)
     hi = bv.upper * bw.upper / (bv.lower**2 * bw.lower**2)

@@ -4,6 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionframes import (
+    DimensionMismatch,
+    KronOperator,
     NotHermitian,
     Singular,
     SubspaceBasis,
@@ -170,6 +172,62 @@ class TestKron:
         np.testing.assert_allclose(
             kron(q, t) @ tensor_vector(f, g), tensor_vector(q @ f, t @ g), atol=1e-12
         )
+
+
+def gaussian(rng, complex_, *shape):
+    a = rng.standard_normal(shape)
+    return a + 1j * rng.standard_normal(shape) if complex_ else a
+
+
+class TestKronOperator:
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("m,n", [(1, 7), (3, 5), (4, 64)])
+    @pytest.mark.parametrize("columns", [(), (3,)], ids=["1d", "2d"])
+    def test_matches_dense_kron(self, m, n, complex_, columns):
+        rng = np.random.default_rng(1000 * m + n)
+        left, right = gaussian(rng, complex_, m, m), gaussian(rng, complex_, n, n)
+        x = gaussian(rng, complex_, m * n, *columns)
+        got = KronOperator(left, right) @ x
+        want = np.kron(left, right) @ x
+        assert got.shape == want.shape == x.shape
+        # Both sides approximate K x, K = kron(left, right), from the same
+        # data. A complex inner product of length k is off by at most
+        # gamma_{k+2} |a|^T |b|, gamma_k = k u / (1 - k u) (Higham, Accuracy
+        # and Stability of Numerical Algorithms, 2nd ed., sec. 3.6), in any
+        # summation order. Dense: each entry of K is one complex product
+        # (gamma_3 relative), then a length-mn product, so gamma_{mn+5}
+        # (|K| |x|). Vec trick: a length-m product, then a length-n product
+        # of the rounded result, so gamma_{m+n+4} (|left| (x) |right|) |x|,
+        # and |left| (x) |right| = |K|. Hence the entrywise gap is at most
+        # gamma_{mn+m+n+9} (|K| |x|).
+        k = m * n + m + n + 9
+        u = np.finfo(float).eps / 2
+        bound = k * u / (1 - k * u) * (np.kron(np.abs(left), np.abs(right)) @ np.abs(x))
+        gap = np.abs(got - want)
+        assert np.all(gap <= bound), f"worst gap/bound {np.max(gap / bound)}"
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_dense_form_is_kron_exactly(self, complex_):
+        rng = np.random.default_rng(8)
+        left, right = gaussian(rng, complex_, 3, 3), gaussian(rng, complex_, 5, 5)
+        op = KronOperator(left, right)
+        np.testing.assert_array_equal(np.asarray(op), kron(left, right))
+        with pytest.raises(ValueError):
+            np.asarray(op, copy=False)
+        assert op.nbytes == left.nbytes + right.nbytes
+
+    @pytest.mark.parametrize("shape", [(14,), (16,), (14, 2), (16, 2), (15, 1, 1)])
+    def test_wrong_row_count(self, shape):
+        op = KronOperator(np.eye(3), np.eye(5))
+        with pytest.raises(DimensionMismatch):
+            op @ np.ones(shape)
+
+    def test_numpy_arithmetic_does_not_densify(self):
+        op = KronOperator(np.eye(2), np.eye(3))
+        with pytest.raises(TypeError):
+            np.float64(2.0) * op
+        with pytest.raises(TypeError):
+            2.0 * op
 
 
 class TestInvert:

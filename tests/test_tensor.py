@@ -252,12 +252,12 @@ class TestRoiTensor:
 
     def test_parseval(self, parseval_system):
         fam = roi_tensor(parseval_system, parseval_system)
-        acc = sum(s * op for s, op in zip(fam.scalars, fam.ops))
+        acc = sum(s * np.asarray(op) for s, op in zip(fam.scalars, fam.ops))
         assert np.linalg.norm(acc - np.eye(4)) <= 1e-14
 
     def test_v2_sum_to_identity(self, v2_system):
         fam = roi_tensor(v2_system, v2_system)
-        acc = sum(s * op for s, op in zip(fam.scalars, fam.ops))
+        acc = sum(s * np.asarray(op) for s, op in zip(fam.scalars, fam.ops))
         assert np.linalg.norm(acc - np.eye(4)) / 2.0 <= 1e-10
 
     def test_two_sided_bound(self, v2_system, parseval_system):
@@ -273,6 +273,27 @@ class TestRoiTensor:
                 s * np.linalg.norm(op @ fg) ** 2 for s, op in zip(fam.scalars, fam.ops)
             )
             assert lo - 1e-8 <= energy <= hi + 1e-8
+
+    def test_members_hold_only_factor_matrices(self):
+        # Two 16x16 complex factors per member; a dense member would be 1 MiB.
+        rng = np.random.default_rng(16)
+        fam = roi_tensor(random_frame(rng, 16), random_frame(rng, 16))
+        assert len(fam.ops) == 16 * 16
+        assert all(op.nbytes <= 2 * 16**2 * 16 for op in fam.ops)
+
+    def test_resolves_identity_at_product_dim_1024(self):
+        rng = np.random.default_rng(32)
+        v, w = random_frame(rng, 32), random_frame(rng, 32)
+        fam = roi_tensor(v, w)
+        assert len(fam.ops) == len(v) * len(w) == 32 * 32
+        probes = rng.standard_normal((1024, 4)) + 1j * rng.standard_normal((1024, 4))
+        acc = sum(s * (op @ probes) for s, op in zip(fam.scalars, fam.ops))
+        err = np.linalg.norm(acc - probes, axis=0) / np.linalg.norm(probes, axis=0)
+        assert np.max(err) <= 1e-10
+        # The family shares one T_i per V member and one U_j per W member:
+        # 64 distinct 32x32 complex matrices, 1 MiB, against 16 GiB dense.
+        held = {id(a): a.nbytes for op in fam.ops for a in (op.left, op.right)}
+        assert sum(held.values()) <= 2 * 2**20
 
     def test_requires_frames(self, v2_system):
         e1 = SubspaceBasis(np.array([[1.0], [0.0]]))
