@@ -271,6 +271,10 @@ class TestReconstruct:
     def test_bad_vector_exits_2(self, v2_path, vector):
         assert main(["reconstruct", "--in", v2_path, "--vector", vector]) == 2
 
+    def test_huge_integer_vector_exits_2(self, v2_path, capsys):
+        assert main(["reconstruct", "--in", v2_path, "--vector", f"[{10**400}, 0]"]) == 2
+        assert "--vector" in capsys.readouterr().err
+
     def test_arity_mismatch_exits_5(self, v2_path, parseval_path, tmp_path):
         # A dual file with the wrong member count.
         data = dict(V2_FILE)
