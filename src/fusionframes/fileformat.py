@@ -168,7 +168,8 @@ def dumps_system(sys: FusionSystem) -> str:
 def loads_system(text: str) -> FusionSystem:
     try:
         data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer over the digit limit, or nesting too deep
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object")

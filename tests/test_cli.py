@@ -189,6 +189,12 @@ class TestCheck:
         p.write_text("{")
         assert main(["check", "--in", str(p)]) == 3
 
+    def test_deeply_nested_exits_3(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100000)
+        assert main(["check", "--in", str(p)]) == 3
+        assert "invalid JSON" in capsys.readouterr().err
+
 
 class TestTensor:
     def test_v2_squared_bounds(self, v2_path, tmp_path, capsys):
@@ -211,6 +217,17 @@ class TestTensor:
         assert main(["generate", "--dim", "65", "--subspaces", "2", "--max-subdim", "1",
                      "--seed", "1", "--out", big]) == 0
         assert main(["tensor", "--left", big, "--right", big]) == 2
+
+    def test_dim_cap_refuses_before_writing(self, tmp_path, capsys):
+        paths = []
+        for dim in (64, 65):
+            paths.append(str(tmp_path / f"d{dim}.json"))
+            assert main(["generate", "--dim", str(dim), "--subspaces", "1", "--max-subdim", "1",
+                         "--seed", "1", "--out", paths[-1]]) == 0
+        out = tmp_path / "t.json"
+        assert main(["tensor", "--left", paths[0], "--right", paths[1], "--out", str(out)]) == 2
+        assert "tensor dimension 4160 exceeds 4096" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parse_failure_exits_3(self, tmp_path, v2_path):
         p = tmp_path / "bad.json"
@@ -267,7 +284,16 @@ class TestReconstruct:
     def test_nonframe_exits_4(self, nonframe_path):
         assert main(["reconstruct", "--in", nonframe_path, "--vector", "[1, 0]"]) == 4
 
-    @pytest.mark.parametrize("vector", ["[true, 0]", "[[1, 0, 2], 0]", "[1", "[\"1\", 0]", "3"])
+    def test_nonframe_with_dual_exits_4(self, nonframe_path, capsys):
+        assert main(["reconstruct", "--in", nonframe_path, "--vector", "[1, 0]",
+                     "--dual", nonframe_path]) == 4
+        assert "not invertible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "vector",
+        ["[true, 0]", "[[1, 0, 2], 0]", "[1", "[\"1\", 0]", "3",
+         pytest.param("[" * 100000, id="deeply-nested")],
+    )
     def test_bad_vector_exits_2(self, v2_path, vector):
         assert main(["reconstruct", "--in", v2_path, "--vector", vector]) == 2
 

@@ -110,5 +110,5 @@ class TestRunChecks:
         report = run_checks(spec)
         witness = report.checks[0]["witness"]
         rng = np.random.default_rng(witness["rng_key"])
-        _, residual = fn(rng, spec.dims, 0.0)
+        residual = fn(rng, spec.dims)
         assert residual == witness["residual"]
