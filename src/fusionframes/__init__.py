@@ -19,11 +19,9 @@ from .errors import (
 )
 from .fileformat import ParseError, load_system, loads_system, dumps_system, save_system
 from .frames import (
-    CoefficientFamily,
     FrameBounds,
     FusionSystem,
     WeightedSubspace,
-    analysis,
     canonical_dual,
     check_resolution_of_identity,
     frame_bounds,
@@ -34,7 +32,6 @@ from .frames import (
     projection,
     reconstruct,
     reconstruct_canonical,
-    synthesis,
     transport_subspace,
 )
 from .linalg import (

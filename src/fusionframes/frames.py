@@ -28,8 +28,7 @@ from .linalg import (
 
 FRAME_TOL_REL = 1e-10   # lower bound must exceed this multiple of ||S||
 TIGHT_TOL = 1e-9        # (B - A) <= TIGHT_TOL * B counts as tight
-DUAL_TOL = 1e-8         # ||sum - I||_F / sqrt(n), absolute
-ROI_TOL = 1e-8          # ||sum - I||_F / sqrt(n), absolute
+RESOLUTION_TOL = 1e-8   # ||sum - I||_F / sqrt(n), absolute; dual and ROI sums
 
 
 @dataclass(frozen=True)
@@ -75,16 +74,6 @@ class FusionSystem:
 
 
 @dataclass(frozen=True)
-class CoefficientFamily:
-    """One vector per member, each lying in that member's subspace."""
-
-    parts: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(np.asarray(p, dtype=complex) for p in self.parts))
-
-
-@dataclass(frozen=True)
 class FrameBounds:
     """Optimal bounds: extremal eigenvalues of the frame operator."""
 
@@ -105,31 +94,6 @@ def _ambient_vector(sys: FusionSystem, f) -> np.ndarray:
     if v.size != sys.ambient_dim:
         raise DimensionMismatch(f"vector dim {v.size} != ambient dim {sys.ambient_dim}")
     return v
-
-
-def analysis(sys: FusionSystem, f) -> CoefficientFamily:
-    """Map f to the family {v_i P_{V_i} f}."""
-    v = _ambient_vector(sys, f)
-    parts = []
-    for m in sys.members:
-        b = m.basis.matrix
-        parts.append(m.weight * (b @ (adjoint(b) @ v)))
-    return CoefficientFamily(tuple(parts))
-
-
-def synthesis(sys: FusionSystem, coeffs: CoefficientFamily) -> np.ndarray:
-    """Adjoint of analysis: sum_i v_i f_i."""
-    if len(coeffs.parts) != len(sys.members):
-        raise DimensionMismatch(
-            f"{len(coeffs.parts)} coefficient parts for {len(sys.members)} members"
-        )
-    out = np.zeros(sys.ambient_dim, dtype=complex)
-    for m, part in zip(sys.members, coeffs.parts):
-        p = as_vector(part)
-        if p.size != sys.ambient_dim:
-            raise DimensionMismatch("coefficient part has wrong dimension")
-        out += m.weight * p
-    return out
 
 
 def _synthesis_matrix(sys: FusionSystem) -> np.ndarray:
@@ -168,19 +132,21 @@ def inverse_frame_operator(sys: FusionSystem) -> np.ndarray:
     return (q / sys.spectrum.eigenvalues) @ adjoint(q)
 
 
-def _canonical_dual(sys: FusionSystem, s_inv: np.ndarray) -> FusionSystem:
-    members = []
-    for m in sys.members:
-        cols = s_inv @ m.basis.matrix
-        members.append(
-            WeightedSubspace(basis=orthonormalize(cols.T), weight=m.weight)
-        )
+def _image(t: np.ndarray, sys: FusionSystem) -> FusionSystem:
+    """The image system {(T V_i, v_i)}, bases re-orthonormalized.
+
+    The caller makes sure ``t`` is invertible and n x n for the system's n.
+    """
+    members = [
+        WeightedSubspace(basis=orthonormalize((t @ m.basis.matrix).T), weight=m.weight)
+        for m in sys.members
+    ]
     return FusionSystem(ambient_dim=sys.ambient_dim, members=tuple(members))
 
 
 def canonical_dual(sys: FusionSystem) -> FusionSystem:
     """The system {(S^{-1} V_i, v_i)}, bases re-orthonormalized."""
-    return _canonical_dual(sys, inverse_frame_operator(sys))
+    return _image(inverse_frame_operator(sys), sys)
 
 
 def _dual_sum(
@@ -221,7 +187,7 @@ def reconstruct_canonical(sys: FusionSystem, f) -> np.ndarray:
     """Apply sum_i v_i^2 P_{S^{-1}V_i} S^{-1} P_{V_i} to f (equals f for a frame)."""
     v = _ambient_vector(sys, f)
     s_inv = inverse_frame_operator(sys)
-    return _dual_sum(sys, _canonical_dual(sys, s_inv), s_inv) @ v
+    return _dual_sum(sys, _image(s_inv, sys), s_inv) @ v
 
 
 def is_alternative_dual(sys: FusionSystem, cand: FusionSystem) -> tuple[bool, float]:
@@ -230,7 +196,7 @@ def is_alternative_dual(sys: FusionSystem, cand: FusionSystem) -> tuple[bool, fl
     Returns (verdict, residual) with residual = ||sum - I||_F / sqrt(dim).
     """
     residual = _identity_residual(_dual_sum(sys, cand))
-    return residual <= DUAL_TOL, residual
+    return residual <= RESOLUTION_TOL, residual
 
 
 def check_resolution_of_identity(ops: Sequence) -> tuple[bool, float]:
@@ -247,7 +213,7 @@ def check_resolution_of_identity(ops: Sequence) -> tuple[bool, float]:
         if m.shape != (n, n):
             raise DimensionMismatch(f"expected {n}x{n} operators, got {m.shape}")
     residual = _identity_residual(sum(mats))
-    return residual <= ROI_TOL, residual
+    return residual <= RESOLUTION_TOL, residual
 
 
 def transport_subspace(t, basis: SubspaceBasis) -> SubspaceBasis:

@@ -12,27 +12,28 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotADual, NotAFrame, NotUnitary
+from .errors import DimensionMismatch, NotADual, NotAFrame, NotUnitary
 from .frames import (
-    DUAL_TOL,
+    RESOLUTION_TOL,
     FrameBounds,
     FusionSystem,
     WeightedSubspace,
     _bounds_from_eigenvalues,
     _dual_sum,
     _identity_residual,
+    _image,
     canonical_dual,
     frame_bounds,
     frame_operator,
     inverse_frame_operator,
     projection,
-    transport_subspace,
 )
 from .linalg import KronOperator, SubspaceBasis, adjoint, as_operator, invert, kron, rel_fro
 
 UNITARY_TOL = 1e-10             # ||T^H T - I||_F, relative to sqrt(n)
 FACTORIZATION_TOL = 1e-10       # ||S_{VxW} - S_V x S_W||_F, relative to ||S_V x S_W||_F
 INVERSE_FACTORIZATION_TOL = 1e-9  # the same for the inverses, relative to ||S_V^-1 x S_W^-1||_F
+FLOOR_SLACK = 1e-9              # below the A^2/B floor, absolute in the units of S
 
 
 @dataclass(frozen=True)
@@ -97,28 +98,27 @@ def check_operator_factorization(ts: TensorSystem) -> tuple[bool, dict[str, floa
     return ok, residuals
 
 
-def _require_unitary(t: np.ndarray, name: str):
+def _require_unitary(t: np.ndarray, sys: FusionSystem, name: str):
+    """Raise unless t is an n x n unitary for the factor's n."""
     n = t.shape[0]
     if t.shape != (n, n) or np.linalg.norm(adjoint(t) @ t - np.eye(n)) > UNITARY_TOL * np.sqrt(n):
         raise NotUnitary(f"{name} is not unitary within tolerance")
-
-
-def _transport_system(t: np.ndarray, sys: FusionSystem) -> FusionSystem:
-    members = [WeightedSubspace(transport_subspace(t, m.basis), m.weight) for m in sys.members]
-    return FusionSystem(ambient_dim=sys.ambient_dim, members=tuple(members))
+    if n != sys.ambient_dim:
+        raise DimensionMismatch(f"{name} acts on dim {n}, its factor has dim {sys.ambient_dim}")
 
 
 def transport_tensor_system(t1, t2, ts: TensorSystem) -> TensorSystem:
     """Image system {((T1 x T2)(V_i x W_j), v_i w_j)}.
 
     Both operators must be unitary, the hypothesis under which the
-    transported system is provably a frame; raises NotUnitary otherwise.
+    transported system is provably a frame; raises NotUnitary otherwise,
+    and DimensionMismatch when one does not act on its factor's space.
     """
     m1, m2 = as_operator(t1), as_operator(t2)
-    _require_unitary(m1, "T1")
-    _require_unitary(m2, "T2")
     v, w = ts.factors
-    return tensor_system(_transport_system(m1, v), _transport_system(m2, w))
+    _require_unitary(m1, v, "T1")
+    _require_unitary(m2, w, "T2")
+    return tensor_system(_image(m1, v), _image(m2, w))
 
 
 def roi_tensor(v: FusionSystem, w: FusionSystem) -> RoiFamily:
@@ -160,18 +160,16 @@ def is_alternative_dual_tensor(ts: TensorSystem, cand: TensorSystem) -> tuple[bo
     """
     (v, w), (cv, cw) = ts.factors, cand.factors
     residual = _identity_residual(kron(_dual_sum(v, cv), _dual_sum(w, cw)))
-    return residual <= DUAL_TOL, residual
+    return residual <= RESOLUTION_TOL, residual
 
 
-def alt_dual_frame_check(
-    ts: TensorSystem, cand: TensorSystem, slack: float = 1e-9
-) -> FrameBounds:
+def alt_dual_frame_check(ts: TensorSystem, cand: TensorSystem) -> FrameBounds:
     """Bounds of an alternative dual, checked against the guaranteed floor.
 
     The dual's optimal lower bound must reach 1 / (D1 * D2 * ||S^{-1}||^2)
     where D1, D2 are the factor upper bounds of the primary system.  With
-    D1 * D2 = B and ||S^{-1}|| = 1 / A for its bounds A, B, that is A^2 / B.
-    Raises NotADual when cand fails the dual identity.
+    D1 * D2 = B and ||S^{-1}|| = 1 / A for its bounds A, B, that is A^2 / B,
+    less ``FLOOR_SLACK``.  Raises NotADual when cand fails the dual identity.
     """
     ok, residual = is_alternative_dual_tensor(ts, cand)
     if not ok:
@@ -179,7 +177,7 @@ def alt_dual_frame_check(
     primary = tensor_frame_bounds(ts)
     bounds = tensor_frame_bounds(cand)
     floor = primary.lower**2 / primary.upper
-    if not bounds.is_frame or bounds.lower < floor - slack:
+    if not bounds.is_frame or bounds.lower < floor - FLOOR_SLACK:
         raise NotADual(
             f"dual lower bound {bounds.lower:.6e} below guaranteed floor {floor:.6e}"
         )

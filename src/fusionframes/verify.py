@@ -30,7 +30,16 @@ from .frames import (
     projection,
     transport_subspace,
 )
-from .linalg import adjoint, invert, kron, operator_norm, orthonormalize, rel_fro, tensor_vector
+from .linalg import (
+    SubspaceBasis,
+    adjoint,
+    invert,
+    kron,
+    operator_norm,
+    orthonormalize,
+    rel_fro,
+    tensor_vector,
+)
 from .tensor import (
     alt_dual_frame_check,
     canonical_dual_tensor,
@@ -60,7 +69,7 @@ def random_fusion_system(dim, n_subspaces, max_subdim, weight_range, rng_seed) -
             f"need 1 <= max_subdim <= dim and n_subspaces >= 1, "
             f"got dim={dim}, n={n_subspaces}, max_subdim={max_subdim}"
         )
-    if not 0 < lo <= hi:
+    if not 0 < lo <= hi < np.inf:
         raise BadParameters(f"bad weight range ({lo}, {hi})")
     rng = np.random.default_rng(rng_seed)
     members = []
@@ -90,13 +99,12 @@ def _random_nonframe(rng, dim) -> FusionSystem:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, _ = np.linalg.qr(g)
     plane = q[:, : dim - 1]  # last column is the annihilated direction
-    members = []
-    for _ in range(dim):
-        k = int(rng.integers(1, min(2, dim - 1) + 1))
-        c = rng.standard_normal((dim - 1, k)) + 1j * rng.standard_normal((dim - 1, k))
-        members.append(
-            WeightedSubspace(basis=orthonormalize((plane @ c).T), weight=float(rng.uniform(0.5, 2.0)))
-        )
+    inner = random_fusion_system(dim - 1, dim, min(2, dim - 1), (0.5, 2.0), rng)
+    # plane has orthonormal columns, so it maps orthonormal bases to orthonormal bases.
+    members = [
+        WeightedSubspace(basis=SubspaceBasis(plane @ m.basis.matrix), weight=m.weight)
+        for m in inner.members
+    ]
     return FusionSystem(ambient_dim=dim, members=tuple(members))
 
 
@@ -380,7 +388,7 @@ def _check_t4_5(rng, dims):
     v, w, ts = _frame_pair(rng, dims)
     cand = canonical_dual_tensor(ts)
     # Raises NotADual (a failed trial) unless cand is a frame on the floor.
-    bounds = alt_dual_frame_check(ts, cand, slack=SLACK)
+    bounds = alt_dual_frame_check(ts, cand)
     d1, d2 = frame_bounds(v).upper, frame_bounds(w).upper
     _, s_inv_norm = frame_operator_norms(ts.base)
     return float(max(1.0 / (d1 * d2 * s_inv_norm**2) - bounds.lower, 0.0))

@@ -162,6 +162,13 @@ class TestGenerate:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weights", ["0:1", "1:inf", "inf:inf"])
+    def test_bad_weights_exit_2(self, weights, capsys):
+        rc = main(["generate", "--dim", "3", "--subspaces", "3", "--max-subdim", "2",
+                   "--seed", "1", "--weights", weights])
+        assert rc == 2
+        assert "error" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_v2_bounds(self, v2_path, capsys):

@@ -3,14 +3,12 @@ import pytest
 
 from fusionframes import (
     ArityMismatch,
-    CoefficientFamily,
     DimensionMismatch,
     FusionSystem,
     NotAFrame,
     Singular,
     SubspaceBasis,
     WeightedSubspace,
-    analysis,
     canonical_dual,
     check_resolution_of_identity,
     frame_bounds,
@@ -19,7 +17,6 @@ from fusionframes import (
     orthonormalize,
     projection,
     reconstruct_canonical,
-    synthesis,
     transport_subspace,
 )
 from fusionframes.frames import frame_operator_norms
@@ -64,47 +61,6 @@ class TestProjection:
         assert np.linalg.norm(p @ p - p) <= 1e-12
 
 
-class TestAnalysisSynthesis:
-    def test_parseval_decomposition(self, parseval_system):
-        coeffs = analysis(parseval_system, [3.0, 4.0])
-        np.testing.assert_allclose(coeffs.parts[0], [3, 0], atol=1e-15)
-        np.testing.assert_allclose(coeffs.parts[1], [0, 4], atol=1e-15)
-
-    def test_v2_analysis(self, v2_system):
-        coeffs = analysis(v2_system, [1.0, 0.0])
-        np.testing.assert_allclose(coeffs.parts[0], [1, 0], atol=1e-15)
-        np.testing.assert_allclose(coeffs.parts[1], [0.5, 0.5], atol=1e-15)
-
-    def test_zero_vector(self, v2_system):
-        coeffs = analysis(v2_system, [0.0, 0.0])
-        for p in coeffs.parts:
-            assert np.linalg.norm(p) == 0.0
-
-    def test_dim_mismatch(self, v2_system):
-        with pytest.raises(DimensionMismatch):
-            analysis(v2_system, [1.0, 0.0, 0.0])
-
-    def test_synthesis_examples(self, parseval_system, v2_system):
-        out = synthesis(parseval_system, CoefficientFamily(([3.0, 0.0], [0.0, 4.0])))
-        np.testing.assert_allclose(out, [3, 4], atol=1e-15)
-        out = synthesis(v2_system, CoefficientFamily(([1.0, 0.0], [0.5, 0.5])))
-        np.testing.assert_allclose(out, [1.5, 0.5], atol=1e-15)
-        out = synthesis(v2_system, CoefficientFamily(([0.0, 0.0], [0.0, 0.0])))
-        assert np.linalg.norm(out) == 0.0
-
-    def test_synthesis_adjoint_of_analysis(self):
-        rng = np.random.default_rng(1)
-        sys_ = random_frame(rng, 4)
-        for _ in range(10):
-            f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            c = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in sys_.members]
-            c = [projection(m.basis) @ x for m, x in zip(sys_.members, c)]
-            lhs = np.vdot(f, synthesis(sys_, CoefficientFamily(tuple(c))))
-            coeffs = analysis(sys_, f)
-            rhs = sum(np.vdot(a, b) for a, b in zip(coeffs.parts, c))
-            assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
-
-
 class TestFrameOperator:
     def test_parseval_identity(self, parseval_system):
         np.testing.assert_allclose(frame_operator(parseval_system), np.eye(2), atol=1e-15)
@@ -115,13 +71,6 @@ class TestFrameOperator:
     def test_full_space_weighted(self):
         sys_ = FusionSystem(3, (WeightedSubspace(SubspaceBasis(np.eye(3)), 2.0),))
         np.testing.assert_allclose(frame_operator(sys_), 4.0 * np.eye(3), atol=1e-15)
-
-    def test_equals_synthesis_of_analysis(self):
-        rng = np.random.default_rng(2)
-        sys_ = random_frame(rng, 5)
-        s = frame_operator(sys_)
-        cols = [synthesis(sys_, analysis(sys_, e)) for e in np.eye(5)]
-        np.testing.assert_allclose(np.column_stack(cols), s, atol=1e-10 * np.linalg.norm(s))
 
 
 class TestFrameBounds:

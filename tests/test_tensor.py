@@ -5,6 +5,7 @@ import pytest
 
 from fusionframes import (
     ArityMismatch,
+    DimensionMismatch,
     FusionSystem,
     NotADual,
     NotAFrame,
@@ -24,6 +25,7 @@ from fusionframes import (
     roi_tensor,
     tensor_frame_bounds,
     tensor_system,
+    transport_subspace,
     transport_tensor_system,
 )
 from fusionframes.frames import frame_operator_norms
@@ -230,6 +232,24 @@ class TestTransport:
         ts = tensor_system(v2_system, v2_system)
         with pytest.raises(NotUnitary):
             transport_tensor_system(np.diag([1.0, 2.0]), np.eye(2), ts)
+
+    def test_wrong_size_unitary_rejected(self, v2_system):
+        ts = tensor_system(v2_system, v2_system)
+        with pytest.raises(DimensionMismatch):
+            transport_tensor_system(np.eye(3), np.eye(2), ts)
+        with pytest.raises(DimensionMismatch):
+            transport_tensor_system(np.eye(2), np.eye(3), ts)
+
+    def test_factor_bases_match_transport_subspace(self):
+        rng = np.random.default_rng(4)
+        v, w = random_frame(rng, 3), random_frame(rng, 4)
+        t1, t2 = (np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+                  for n in (3, 4))
+        moved = transport_tensor_system(t1, t2, tensor_system(v, w))
+        for t, sys_, image in zip((t1, t2), (v, w), moved.factors):
+            assert [m.weight for m in image.members] == [m.weight for m in sys_.members]
+            for m, mi in zip(sys_.members, image.members):
+                assert np.array_equal(mi.basis.matrix, transport_subspace(t, m.basis).matrix)
 
 
 class TestRoiTensor:
