@@ -5,6 +5,18 @@ alternative duals, tensor products of systems, resolutions of the
 identity, and a seeded verification campaign over all of the above.
 """
 
+import os
+
+# OpenBLAS reads this once, when numpy first loads it, so it must be set
+# before any import below pulls in numpy. By default an idle worker thread
+# spins for 2**28 cycles (~0.1 s) after start-up and after every parallel
+# call; at this package's sizes that spin buys no wall time and costs about
+# a third of a short CLI process's CPU. 4 is the lowest value OpenBLAS
+# accepts: idle workers sleep at once, and the next parallel call wakes
+# them. The thread count is unchanged, so large problems stay parallel and
+# results are bit-identical. A value the user has set wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .errors import (
     ArityMismatch,
     BadParameters,

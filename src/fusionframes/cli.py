@@ -23,7 +23,7 @@ from .frames import (
     reconstruct_canonical,
 )
 from .tensor import check_operator_factorization, tensor_system
-from .verify import THEOREM_IDS, CheckSpec, run_checks
+from .verify import THEOREM_IDS, CheckSpec, random_fusion_system, run_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -67,8 +67,6 @@ def _emit(text: str, out: str | None):
 
 
 def cmd_generate(args) -> int:
-    from .verify import random_fusion_system
-
     sys_ = random_fusion_system(
         args.dim, args.subspaces, args.max_subdim, _parse_weights(args.weights), args.seed
     )

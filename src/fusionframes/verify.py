@@ -430,9 +430,14 @@ class CheckSpec:
     dims: tuple[tuple[int, int], tuple[int, int]] = ((2, 6), (2, 6))
 
     def __post_init__(self):
+        if not self.theorems:
+            raise BadParameters("no theorem ids given")
         unknown = [t for t in self.theorems if t not in THEOREM_IDS]
         if unknown:
             raise BadParameters(f"unknown theorem ids: {unknown}")
+        repeated = sorted({t for t in self.theorems if self.theorems.count(t) > 1})
+        if repeated:
+            raise BadParameters(f"repeated theorem ids: {repeated}")
         if self.trials < 1:
             raise BadParameters("trials must be positive")
         for lo, hi in self.dims:

@@ -341,6 +341,17 @@ class TestVerifyCommand:
         assert main(["verify", "--theorems", "T9.9"]) == 2
         assert "T9.9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theorems, message", [
+        ("", "no theorem ids"),
+        (",,", "no theorem ids"),
+        ("T2.1,D2.3,T2.1", "repeated theorem ids: ['T2.1']"),
+    ])
+    def test_empty_or_repeated_theorems_exit_2(self, theorems, message, capsys):
+        assert main(["verify", "--theorems", theorems, "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_report_key_order(self, capsys):
         assert main(["verify", "--theorems", "D2.10", "--trials", "2", "--seed", "3"]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -55,6 +55,11 @@ class TestCheckSpec:
         with pytest.raises(BadParameters):
             CheckSpec(theorems=("T9.9",))
 
+    @pytest.mark.parametrize("theorems", [(), ("T2.1", "D2.3", "T2.1")])
+    def test_empty_or_repeated_theorems_rejected(self, theorems):
+        with pytest.raises(BadParameters):
+            CheckSpec(theorems=theorems)
+
     def test_bad_trials(self):
         with pytest.raises(BadParameters):
             CheckSpec(trials=0)
