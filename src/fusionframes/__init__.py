@@ -24,7 +24,6 @@ from .errors import (
     FusionFrameError,
     NotADual,
     NotAFrame,
-    NotHermitian,
     NotUnitary,
     Singular,
     ZeroSubspace,
@@ -35,7 +34,6 @@ from .frames import (
     FusionSystem,
     WeightedSubspace,
     canonical_dual,
-    check_resolution_of_identity,
     frame_bounds,
     frame_operator,
     frame_operator_norms,
@@ -44,18 +42,12 @@ from .frames import (
     projection,
     reconstruct,
     reconstruct_canonical,
-    transport_subspace,
 )
 from .linalg import (
     KronOperator,
     Spectrum,
     SubspaceBasis,
-    hermitian_eig,
-    invert,
-    kron,
-    operator_norm,
     orthonormalize,
-    tensor_vector,
 )
 from .tensor import (
     RoiFamily,

@@ -162,8 +162,13 @@ def cmd_reconstruct(args) -> int:
         rec = reconstruct(sys_, load_system(args.dual), f)
     else:
         rec = reconstruct_canonical(sys_, f)
-    norm = float(np.linalg.norm(f))
-    err = float(np.linalg.norm(rec - f))
+    # Both norms are taken on x * 2**-k, 2**k the top power of two of f's
+    # largest real or imaginary part (k = 0 below 1): the scaling is exact,
+    # so the ratio keeps its bits and neither norm overflows.
+    k = max(int(np.frexp(np.abs(f.view(float)).max())[1]) - 1, 0)
+    scale = np.ldexp(1.0, -k)
+    norm = float(np.linalg.norm(f * scale))
+    err = float(np.linalg.norm((rec - f) * scale))
     error = err / norm if norm > 0 else err
     print("reconstructed: " + json.dumps([[x.real, x.imag] for x in rec]))
     print(f"{'relative' if norm > 0 else 'absolute'} error: {error:.3e}")

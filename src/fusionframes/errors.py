@@ -9,10 +9,6 @@ class ZeroSubspace(FusionFrameError):
     """Spanning set has numerical rank zero."""
 
 
-class NotHermitian(FusionFrameError):
-    """Matrix fails the Hermitian symmetry precondition."""
-
-
 class Singular(FusionFrameError):
     """Matrix is numerically singular."""
 

@@ -8,9 +8,9 @@ eigenvalues of S are the optimal frame bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -19,10 +19,7 @@ from .linalg import (
     Spectrum,
     SubspaceBasis,
     adjoint,
-    as_operator,
     as_vector,
-    check_invertible,
-    hermitian_eig,
     orthonormalize,
 )
 
@@ -60,6 +57,13 @@ class FusionSystem:
                     f"member {k} lives in dim {m.basis.ambient_dim}, "
                     f"system has dim {self.ambient_dim}"
                 )
+        # 2 sum_i v_i^2 dim V_i bounds every entry of S, every partial sum of
+        # the product that forms it, and S + S^H: while it is finite, so are
+        # they.  A product of Python floats overflows to inf without a warning.
+        weights = [float(m.weight) for m in self.members]
+        scale = 2.0 * sum(w * w * m.basis.sub_dim for w, m in zip(weights, self.members))
+        if not math.isfinite(scale):
+            raise ValueError("weights too large: 2 * sum of v_i^2 * dim V_i overflows a float")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -70,7 +74,7 @@ class FusionSystem:
 
         Bounds, tightness, both operator norms and S^{-1} all derive from it.
         """
-        return hermitian_eig(frame_operator(self))
+        return Spectrum(*np.linalg.eigh(frame_operator(self)))
 
 
 @dataclass(frozen=True)
@@ -172,9 +176,9 @@ def _dual_sum(
 
 
 def _identity_residual(m: np.ndarray) -> float:
-    """||M - I||_F / sqrt(dim)."""
+    """||M - I||_F / sqrt(dim), as a Python float."""
     n = m.shape[0]
-    return float(np.linalg.norm(m - np.eye(n))) / np.sqrt(n)
+    return float(np.linalg.norm(m - np.eye(n)) / np.sqrt(n))
 
 
 def reconstruct(sys: FusionSystem, dual: FusionSystem, f) -> np.ndarray:
@@ -197,36 +201,6 @@ def is_alternative_dual(sys: FusionSystem, cand: FusionSystem) -> tuple[bool, fl
     """
     residual = _identity_residual(_dual_sum(sys, cand))
     return residual <= RESOLUTION_TOL, residual
-
-
-def check_resolution_of_identity(ops: Sequence) -> tuple[bool, float]:
-    """Does the (finite) operator family sum to the identity?
-
-    Unconditional convergence is vacuous for finite lists.  Residual is
-    ||sum - I||_F / sqrt(dim).
-    """
-    mats = [as_operator(o) for o in ops]
-    if not mats:
-        raise DimensionMismatch("empty operator list")
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (n, n):
-            raise DimensionMismatch(f"expected {n}x{n} operators, got {m.shape}")
-    residual = _identity_residual(sum(mats))
-    return residual <= RESOLUTION_TOL, residual
-
-
-def transport_subspace(t, basis: SubspaceBasis) -> SubspaceBasis:
-    """Orthonormal basis of T V for invertible T.
-
-    For unitary T the transported projection satisfies P_{TV} T = T P_V.
-    Raises Singular when T is not invertible.
-    """
-    m = as_operator(t)
-    if m.shape != (basis.ambient_dim, basis.ambient_dim):
-        raise DimensionMismatch("operator does not act on the basis's space")
-    check_invertible(m)
-    return orthonormalize((m @ basis.matrix).T)
 
 
 def frame_operator_norms(sys: FusionSystem) -> tuple[float, float]:

@@ -14,10 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, Singular, ZeroSubspace
+from .errors import DimensionMismatch, Singular, ZeroSubspace
 
 TOL_ORTHO = 1e-12       # ||B^H B - I||_F, relative to max(1, sqrt(columns))
-TOL_HERMITIAN = 1e-10   # ||A - A^H||_F, relative to max(||A||_F, 1)
 
 _EPS = np.finfo(float).eps
 
@@ -79,7 +78,10 @@ class SubspaceBasis:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+
+    Named fields as numpy 2's ``EighResult`` has them; numpy 1.24 is supported.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # unitary, column k pairs with eigenvalues[k]
@@ -113,26 +115,6 @@ def orthonormalize(spanning: Sequence) -> SubspaceBasis:
     # Fix the column phases so the result does not depend on QR sign choices.
     q = q * np.sign(np.real(np.diag(r)))
     return SubspaceBasis(q)
-
-
-def hermitian_eig(a) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Raises NotHermitian when ||A - A^H||_F > TOL_HERMITIAN * max(||A||_F, 1).
-    """
-    m = as_operator(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix is not square")
-    scale = np.linalg.norm(m)
-    if np.linalg.norm(m - adjoint(m)) > TOL_HERMITIAN * max(scale, 1.0):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    w, q = np.linalg.eigh(0.5 * (m + adjoint(m)))
-    return Spectrum(eigenvalues=w, eigenvectors=q)
-
-
-def kron(q, t) -> np.ndarray:
-    """Kronecker product; the concrete model of the operator tensor Q (x) T."""
-    return np.kron(as_operator(q), as_operator(t))
 
 
 @dataclass(frozen=True)
@@ -174,34 +156,18 @@ class KronOperator:
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
-def tensor_vector(f, g) -> np.ndarray:
-    """Simple tensor f (x) g as a vector of length dim(f)*dim(g).
+def invert(a) -> np.ndarray:
+    """Matrix inverse by LU.
 
-    Index pairing is row-major: entry (i, j) lands at i * dim(g) + j.
+    Raises Singular when sigma_min <= dim * machine-eps * sigma_max.
     """
-    return np.kron(as_vector(f), as_vector(g))
-
-
-def check_invertible(m: np.ndarray) -> None:
-    """Raise Singular when sigma_min <= dim * machine-eps * sigma_max."""
+    m = as_operator(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix is not square")
     s = np.linalg.svd(m, compute_uv=False)
     if s[-1] <= m.shape[0] * _EPS * s[0]:
         raise Singular(f"sigma_min/sigma_max = {s[-1] / s[0] if s[0] else 0.0:.3e}")
-
-
-def invert(a) -> np.ndarray:
-    """Matrix inverse; raises Singular as :func:`check_invertible` does."""
-    m = as_operator(a)
-    check_invertible(m)
     return np.linalg.inv(m)
-
-
-def operator_norm(a) -> float:
-    """Largest singular value."""
-    m = as_operator(a)
-    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def rel_fro(x: np.ndarray, y: np.ndarray) -> float:

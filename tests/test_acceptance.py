@@ -16,22 +16,19 @@ from fusionframes import (
     canonical_dual,
     canonical_dual_tensor,
     check_operator_factorization,
-    check_resolution_of_identity,
     frame_bounds,
     frame_operator,
     frame_operator_norms,
-    invert,
     is_alternative_dual,
     is_alternative_dual_tensor,
-    kron,
     projection,
     roi_tensor,
     tensor_frame_bounds,
     tensor_system,
-    tensor_vector,
     transport_tensor_system,
 )
-from fusionframes.linalg import rel_fro
+from fusionframes.frames import RESOLUTION_TOL, _identity_residual
+from fusionframes.linalg import invert, rel_fro
 from fusionframes.verify import (
     _random_nonframe,
     _random_unitary,
@@ -149,7 +146,7 @@ def test_5_inequality_sandwiches():
         hi = bv.upper * bw.upper / (bv.lower**2 * bw.lower**2)
         f = rng.standard_normal(v.ambient_dim)
         g = rng.standard_normal(w.ambient_dim)
-        fg = tensor_vector(f / np.linalg.norm(f), g / np.linalg.norm(g))
+        fg = np.kron(f / np.linalg.norm(f), g / np.linalg.norm(g))
         energy = sum(
             s * float(np.linalg.norm(op @ fg)) ** 2 for s, op in zip(fam.scalars, fam.ops)
         )
@@ -187,7 +184,7 @@ def test_6_unitary_transport():
         t1 = _random_unitary(rng, v.ambient_dim)
         t2 = _random_unitary(rng, w.ambient_dim)
         moved = transport_tensor_system(t1, t2, ts)
-        t12 = kron(t1, t2)
+        t12 = np.kron(t1, t2)
         conjugated = t12 @ frame_operator(ts.base) @ invert(t12)
         ok = ok and rel_fro(frame_operator(moved.base), conjugated) <= 1e-9
         b0 = tensor_frame_bounds(ts)
@@ -207,8 +204,8 @@ def test_7_resolution_of_identity():
         sw_inv = invert(frame_operator(w))
         t_ops = [m.weight**2 * sv_inv @ projection(m.basis) for m in v.members]
         u_ops = [m.weight**2 * sw_inv @ projection(m.basis) for m in w.members]
-        passed, _res = check_resolution_of_identity([kron(t, u) for t in t_ops for u in u_ops])
-        ok = ok and passed
+        residual = _identity_residual(sum(np.kron(t, u) for t in t_ops for u in u_ops))
+        ok = ok and residual <= RESOLUTION_TOL
     _verdict(7, "resolution of identity on the product space", ok)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fusionframes import dumps_system, load_system, loads_system, projection, save_system
+from fusionframes import verify
 from fusionframes.cli import main
 from fusionframes.fileformat import ParseError
 
@@ -162,7 +163,8 @@ class TestGenerate:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("weights", ["0:1", "1:inf", "inf:inf"])
+    # The last two would overflow the frame operator: 2 * v^2 * dim V > 1.8e308.
+    @pytest.mark.parametrize("weights", ["0:1", "1:inf", "inf:inf", "1:1e200", "1e154:1e154"])
     def test_bad_weights_exit_2(self, weights, capsys):
         rc = main(["generate", "--dim", "3", "--subspaces", "3", "--max-subdim", "2",
                    "--seed", "1", "--weights", weights])
@@ -171,6 +173,20 @@ class TestGenerate:
 
 
 class TestCheck:
+    @pytest.mark.parametrize("command", ["check", "dual"])
+    @pytest.mark.parametrize("weight", [1e200, 1e154])
+    def test_weight_too_large_exits_3(self, command, weight, tmp_path, capsys):
+        # The frame operator would overflow; the loader refuses the file before
+        # any matrix is formed, so no overflow warning is printed.
+        data = json.loads(json.dumps(V2_FILE))
+        data["subspaces"][0]["weight"] = weight
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(data))
+        assert main([command, "--in", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: weights too large")
+
     def test_v2_bounds(self, v2_path, capsys):
         assert main(["check", "--in", v2_path]) == 0
         out = capsys.readouterr().out
@@ -304,6 +320,15 @@ class TestReconstruct:
     def test_bad_vector_exits_2(self, v2_path, vector):
         assert main(["reconstruct", "--in", v2_path, "--vector", vector]) == 2
 
+    @pytest.mark.parametrize("vector", ["[1e308, 1e308]", "[[1e308, 1e308], -1e308]"])
+    def test_huge_vector_gives_a_finite_error(self, v2_path, vector, capsys):
+        # |f|^2 overflows a float; the error is computed on an exactly scaled f.
+        assert main(["reconstruct", "--in", v2_path, "--vector", vector]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "relative error" in captured.out
+        assert float(captured.out.split("error:")[1].strip()) <= 1e-15
+
     def test_huge_integer_vector_exits_2(self, v2_path, capsys):
         assert main(["reconstruct", "--in", v2_path, "--vector", f"[{10**400}, 0]"]) == 2
         assert "--vector" in capsys.readouterr().err
@@ -351,6 +376,13 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    def test_failing_check_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setitem(verify._CHECKS, "D2.3", (lambda rng, dims: 1.0, 1e-9))
+        assert main(["verify", "--theorems", "T2.1,D2.3", "--trials", "2"]) == 1
+        captured = capsys.readouterr()
+        assert [c["passes"] for c in json.loads(captured.out)["checks"]] == [2, 0]
+        assert captured.err == "failing checks: D2.3\n"
 
     def test_report_key_order(self, capsys):
         assert main(["verify", "--theorems", "D2.10", "--trials", "2", "--seed", "3"]) == 0

@@ -5,19 +5,18 @@ from hypothesis import strategies as st
 
 from fusionframes import (
     DimensionMismatch,
+    FusionSystem,
     KronOperator,
-    NotHermitian,
     Singular,
     SubspaceBasis,
+    WeightedSubspace,
     ZeroSubspace,
-    hermitian_eig,
-    invert,
-    kron,
-    operator_norm,
+    frame_operator,
+    frame_operator_norms,
     orthonormalize,
-    tensor_vector,
+    random_fusion_system,
 )
-from fusionframes.linalg import adjoint
+from fusionframes.linalg import adjoint, invert
 
 
 # --- independent oracles ----------------------------------------------------
@@ -103,38 +102,39 @@ class TestOrthonormalize:
 
 
 class TestHermitianEig:
-    def test_identity(self):
-        spec = hermitian_eig(np.eye(3))
-        np.testing.assert_allclose(spec.eigenvalues, [1, 1, 1])
+    """FusionSystem.spectrum, the one Hermitian eigendecomposition of S."""
 
-    def test_2x2_against_characteristic_polynomial(self):
-        spec = hermitian_eig(V2_MATRIX)
+    def test_identity(self):
+        sys_ = FusionSystem(3, (WeightedSubspace(SubspaceBasis(np.eye(3)), 1.0),))
+        np.testing.assert_allclose(sys_.spectrum.eigenvalues, [1, 1, 1])
+
+    def test_2x2_against_characteristic_polynomial(self, v2_system):
+        # V2_MATRIX is the frame operator of the v2 system.
+        np.testing.assert_allclose(frame_operator(v2_system), V2_MATRIX, atol=1e-15)
+        spec = v2_system.spectrum
         np.testing.assert_allclose(spec.eigenvalues, eig2_oracle(V2_MATRIX), atol=1e-14)
         np.testing.assert_allclose(
             spec.eigenvalues, [1 - 1 / np.sqrt(2), 1 + 1 / np.sqrt(2)], atol=1e-14
         )
 
-    def test_not_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eig([[0.0, 1.0], [0.0, 0.0]])
-
     def test_reconstruction_residual(self):
         rng = np.random.default_rng(5)
         for n in (4, 12, 36):
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            a = g + adjoint(g)
-            spec = hermitian_eig(a)
+            sys_ = random_fusion_system(n, n, 2, (0.5, 2.0), rng)
+            a, spec = frame_operator(sys_), sys_.spectrum
             resid = np.linalg.norm(a @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues)
             assert resid <= 1e-10 * np.linalg.norm(a)
             assert np.all(np.diff(spec.eigenvalues) >= 0)
 
 
 class TestKron:
+    """np.kron is the library's model of the operator tensor Q (x) T."""
+
     def test_identity_factors(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+        np.testing.assert_array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_block_structure(self):
-        got = kron([[0, 1], [1, 0]], [[2, 0], [0, 3]])
+        got = np.kron([[0, 1], [1, 0]], [[2, 0], [0, 3]])
         b = np.diag([2.0, 3.0])
         z = np.zeros((2, 2))
         expected = np.block([[z, b], [b, z]])
@@ -145,7 +145,7 @@ class TestKron:
         rng = np.random.default_rng(6)
         q = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         t = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert np.linalg.norm(adjoint(kron(q, t)) - kron(adjoint(q), adjoint(t))) <= 1e-12
+        assert np.linalg.norm(adjoint(np.kron(q, t)) - np.kron(adjoint(q), adjoint(t))) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_operator_laws_random(self, n):
@@ -155,14 +155,14 @@ class TestKron:
         for _ in range(50):
             q, qp = well_conditioned(rng, n), well_conditioned(rng, n)
             t, tp = well_conditioned(rng, n), well_conditioned(rng, n)
-            qt = kron(q, t)
+            qt = np.kron(q, t)
             ref = np.linalg.norm(qt)
-            assert np.linalg.norm(qt @ kron(qp, tp) - kron(q @ qp, t @ tp)) <= 1e-9 * ref
-            assert np.linalg.norm(adjoint(qt) - kron(adjoint(q), adjoint(t))) <= 1e-9 * ref
+            assert np.linalg.norm(qt @ np.kron(qp, tp) - np.kron(q @ qp, t @ tp)) <= 1e-9 * ref
+            assert np.linalg.norm(adjoint(qt) - np.kron(adjoint(q), adjoint(t))) <= 1e-9 * ref
             inv = invert(qt)
-            assert np.linalg.norm(inv - kron(invert(q), invert(t))) <= 1e-9 * np.linalg.norm(inv)
-            nq, nt = operator_norm(q), operator_norm(t)
-            assert abs(operator_norm(qt) - nq * nt) <= 1e-10 * nq * nt
+            assert np.linalg.norm(inv - np.kron(invert(q), invert(t))) <= 1e-9 * np.linalg.norm(inv)
+            nq, nt = np.linalg.norm(q, 2), np.linalg.norm(t, 2)
+            assert abs(np.linalg.norm(qt, 2) - nq * nt) <= 1e-10 * nq * nt
 
     def test_action_on_simple_tensors(self):
         rng = np.random.default_rng(7)
@@ -170,7 +170,7 @@ class TestKron:
         t = rng.standard_normal((2, 2))
         f, g = rng.standard_normal(3), rng.standard_normal(2)
         np.testing.assert_allclose(
-            kron(q, t) @ tensor_vector(f, g), tensor_vector(q @ f, t @ g), atol=1e-12
+            np.kron(q, t) @ np.kron(f, g), np.kron(q @ f, t @ g), atol=1e-12
         )
 
 
@@ -211,7 +211,7 @@ class TestKronOperator:
         rng = np.random.default_rng(8)
         left, right = gaussian(rng, complex_, 3, 3), gaussian(rng, complex_, 5, 5)
         op = KronOperator(left, right)
-        np.testing.assert_array_equal(np.asarray(op), kron(left, right))
+        np.testing.assert_array_equal(np.asarray(op), np.kron(left, right))
         with pytest.raises(ValueError):
             np.asarray(op, copy=False)
         assert op.nbytes == left.nbytes + right.nbytes
@@ -251,16 +251,18 @@ class TestInvert:
 
 
 class TestTensorVector:
+    """np.kron(f, g) is the simple tensor f (x) g, entry (i, j) at i * len(g) + j."""
+
     def test_standard_basis(self):
-        np.testing.assert_array_equal(tensor_vector([1, 0], [1, 0]), [1, 0, 0, 0])
+        np.testing.assert_array_equal(np.kron([1, 0], [1, 0]), [1, 0, 0, 0])
 
     def test_entrywise_oracle(self):
-        np.testing.assert_array_equal(tensor_vector([1, 1], [1, -1]), [1, -1, 1, -1])
+        np.testing.assert_array_equal(np.kron([1, 1], [1, -1]), [1, -1, 1, -1])
         f, g = [2.0, -3.0, 0.5], [1.0, 4.0]
-        np.testing.assert_array_equal(tensor_vector(f, g), tensor_vector_oracle(f, g))
+        np.testing.assert_array_equal(np.kron(f, g), tensor_vector_oracle(f, g))
 
     def test_zero_factor(self):
-        out = tensor_vector([1.0, 2.0], [0.0, 0.0])
+        out = np.kron([1.0, 2.0], [0.0, 0.0])
         assert np.linalg.norm(out) == 0.0
 
     @settings(max_examples=50, deadline=None)
@@ -276,7 +278,7 @@ class TestTensorVector:
     # alpha * f underflows to 0, so one side is 0 and the other is 1e-322.
     @example(f=[1e-5 + 0j], g=[1e3 + 0j], alpha=1e-320 + 0j)
     def test_norm_factorization_and_bilinearity(self, f, g, alpha):
-        fg = tensor_vector(f, g)
+        fg = np.kron(f, g)
         assert fg.size == len(f) * len(g)
         nf, ng = np.linalg.norm(f), np.linalg.norm(g)
         assert abs(np.linalg.norm(fg) - nf * ng) <= 1e-12 * max(nf * ng, 1.0)
@@ -302,7 +304,7 @@ class TestTensorVector:
         # |g_j|), c2 = 5 > 2*sqrt(2) + 2 leaves one eta each for rounding the
         # gap and the bound themselves.
         fc = np.asarray(f, dtype=complex)
-        scaled = tensor_vector(alpha * fc, g)
+        scaled = np.kron(alpha * fc, g)
         u = np.finfo(float).eps / 2
         eta = np.nextafter(0.0, 1.0)
         af = np.abs(fc)[:, None]
@@ -313,17 +315,17 @@ class TestTensorVector:
 
 
 class TestOperatorNorm:
+    """np.linalg.norm(a, 2), the largest singular value, and ||S|| from the spectrum."""
+
     def test_examples(self):
-        assert operator_norm(np.eye(5)) == 1.0
-        assert operator_norm(np.diag([3.0, -4.0])) == 4.0
-        assert abs(operator_norm(V2_MATRIX) - (1 + 1 / np.sqrt(2))) <= 1e-12
+        assert np.linalg.norm(np.eye(5), 2) == 1.0
+        assert np.linalg.norm(np.diag([3.0, -4.0]), 2) == 4.0
+        assert abs(np.linalg.norm(V2_MATRIX, 2) - (1 + 1 / np.sqrt(2))) <= 1e-12
 
     def test_psd_matches_top_eigenvalue(self):
-        rng = np.random.default_rng(9)
-        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        a = g @ adjoint(g)
-        top = hermitian_eig(a).eigenvalues[-1]
-        assert abs(operator_norm(a) - top) <= 1e-10 * top
+        sys_ = random_fusion_system(6, 6, 2, (0.5, 2.0), 9)
+        top = frame_operator_norms(sys_)[0]
+        assert abs(np.linalg.norm(frame_operator(sys_), 2) - top) <= 1e-10 * top
 
 
 class TestSubspaceBasis:

@@ -20,12 +20,11 @@ from fusionframes import (
     frame_operator,
     is_alternative_dual,
     is_alternative_dual_tensor,
-    kron,
+    orthonormalize,
     projection,
     roi_tensor,
     tensor_frame_bounds,
     tensor_system,
-    transport_subspace,
     transport_tensor_system,
 )
 from fusionframes.frames import frame_operator_norms
@@ -44,8 +43,17 @@ def random_frame(rng, dim):
     raise AssertionError("no frame drawn")
 
 
-def full_space_system(dim):
-    return FusionSystem(dim, (WeightedSubspace(SubspaceBasis(np.eye(dim)), 1.0),))
+def full_space_system(dim, weight=1.0):
+    return FusionSystem(dim, (WeightedSubspace(SubspaceBasis(np.eye(dim)), weight),))
+
+
+def scaled_candidate(n, a, delta):
+    """{(C^n, a)} (x) {(C^n, 1)}, and the candidate with weight a * (1 - delta)."""
+    one = full_space_system(n)
+    return (
+        tensor_system(full_space_system(n, a), one),
+        tensor_system(full_space_system(n, a * (1 - delta)), one),
+    )
 
 
 class TestTensorSystem:
@@ -55,7 +63,7 @@ class TestTensorSystem:
         assert all(m.basis.sub_dim == 1 for m in ts.base.members)
         np.testing.assert_allclose(frame_operator(ts.base), np.eye(4), atol=1e-14)
         for member, (i, j) in zip(ts.base.members, itertools.product(range(2), range(2))):
-            p_fact = kron(
+            p_fact = np.kron(
                 projection(parseval_system.members[i].basis),
                 projection(parseval_system.members[j].basis),
             )
@@ -74,7 +82,7 @@ class TestTensorSystem:
     def test_projection_factorization(self, v2_system):
         ts = tensor_system(v2_system, v2_system)
         for member, (i, j) in zip(ts.base.members, itertools.product(range(2), range(2))):
-            p_fact = kron(
+            p_fact = np.kron(
                 projection(v2_system.members[i].basis), projection(v2_system.members[j].basis)
             )
             assert np.linalg.norm(projection(member.basis) - p_fact) <= 1e-10
@@ -222,7 +230,7 @@ class TestTransport:
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
         ts = tensor_system(v2_system, v2_system)
         moved = transport_tensor_system(rot, rot, ts)
-        r = kron(rot, rot)
+        r = np.kron(rot, rot)
         expected = r @ frame_operator(ts.base) @ r.conj().T
         np.testing.assert_allclose(frame_operator(moved.base), expected, atol=1e-12)
         b0, b1 = tensor_frame_bounds(ts), tensor_frame_bounds(moved)
@@ -249,7 +257,8 @@ class TestTransport:
         for t, sys_, image in zip((t1, t2), (v, w), moved.factors):
             assert [m.weight for m in image.members] == [m.weight for m in sys_.members]
             for m, mi in zip(sys_.members, image.members):
-                assert np.array_equal(mi.basis.matrix, transport_subspace(t, m.basis).matrix)
+                transported = orthonormalize((t @ m.basis.matrix).T)
+                assert np.array_equal(mi.basis.matrix, transported.matrix)
 
 
 class TestRoiTensor:
@@ -335,7 +344,7 @@ class TestTensorDuals:
         dual = canonical_dual_tensor(ts)
         factor_dual = canonical_dual(v2_system)
         for member, (i, j) in zip(dual.base.members, itertools.product(range(2), range(2))):
-            p_fact = kron(
+            p_fact = np.kron(
                 projection(factor_dual.members[i].basis),
                 projection(factor_dual.members[j].basis),
             )
@@ -394,6 +403,7 @@ class TestTensorDuals:
         cand = tensor_system(canonical_dual(v), canonical_dual(w))
         ok, residual = is_alternative_dual_tensor(ts, cand)
         assert ok and residual <= 1e-8
+        assert (type(ok), type(residual)) == (bool, float)
 
 
 class TestAltDualFrameCheck:
@@ -422,3 +432,17 @@ class TestAltDualFrameCheck:
         )
         with pytest.raises(NotADual):
             alt_dual_frame_check(ts, tensor_system(e1, e1))
+
+    # Tight systems, whose canonical duals sit exactly on the A^2 / B floor:
+    # a candidate the dual test accepts is accepted here too.
+    @pytest.mark.parametrize("n,a,delta", [(1, 1.0, 5e-9), (2, 10.0, 1e-10)])
+    def test_agrees_with_the_dual_test_on_the_floor(self, n, a, delta):
+        ts, cand = scaled_candidate(n, a, delta)
+        assert is_alternative_dual_tensor(ts, cand)[0]
+        bounds = alt_dual_frame_check(ts, cand)
+        assert bounds == tensor_frame_bounds(cand) and bounds.is_frame
+
+    def test_candidate_past_the_tolerance_rejected(self):
+        ts, cand = scaled_candidate(1, 1.0, 1e-6)
+        with pytest.raises(NotADual):
+            alt_dual_frame_check(ts, cand)

@@ -107,6 +107,18 @@ class TestRunChecks:
         assert witness["rng_key"][0] == 1
         assert witness["residual"] > 0.0
 
+    def test_crash_is_a_failed_trial_with_its_error(self, monkeypatch):
+        def crash(rng, dims):
+            raise ArithmeticError("no residual")
+
+        monkeypatch.setitem(_CHECKS, "T2.1", (crash, 1e-10))
+        report = run_checks(CheckSpec(theorems=("T2.1", "D2.3"), trials=2, seed=4))
+        crashed, ok = report.checks
+        assert (crashed["passes"], crashed["worst_residual"]) == (0, float("inf"))
+        assert crashed["witness"]["trial"] == 0
+        assert crashed["witness"]["error"] == "ArithmeticError('no residual')"
+        assert ok["passes"] == 2 and report.failing == ["T2.1"]
+
     def test_witness_replays(self, monkeypatch):
         # The rng_key in a witness regenerates the exact failing instance.
         fn, _ = _CHECKS["D2.9"]
