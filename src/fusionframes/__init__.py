@@ -41,7 +41,6 @@ from .frames import (
     is_alternative_dual,
     projection,
     reconstruct,
-    reconstruct_canonical,
 )
 from .linalg import (
     KronOperator,

@@ -38,6 +38,11 @@ class WeightedSubspace:
             raise ValueError(f"weight must be positive, got {self.weight}")
 
 
+def _weighted_dim(members) -> float:
+    """sum_i v_i^2 dim V_i in Python floats, whose products overflow to inf without a warning."""
+    return sum(float(m.weight) * float(m.weight) * m.basis.sub_dim for m in members)
+
+
 @dataclass(frozen=True)
 class FusionSystem:
     """Weighted subspace family; immutable after construction."""
@@ -59,10 +64,8 @@ class FusionSystem:
                 )
         # 2 sum_i v_i^2 dim V_i bounds every entry of S, every partial sum of
         # the product that forms it, and S + S^H: while it is finite, so are
-        # they.  A product of Python floats overflows to inf without a warning.
-        weights = [float(m.weight) for m in self.members]
-        scale = 2.0 * sum(w * w * m.basis.sub_dim for w, m in zip(weights, self.members))
-        if not math.isfinite(scale):
+        # they.
+        if not math.isfinite(2.0 * _weighted_dim(self.members)):
             raise ValueError("weights too large: 2 * sum of v_i^2 * dim V_i overflows a float")
 
     def __len__(self) -> int:
@@ -153,21 +156,18 @@ def canonical_dual(sys: FusionSystem) -> FusionSystem:
     return _image(inverse_frame_operator(sys), sys)
 
 
-def _dual_sum(
-    sys: FusionSystem, cand: FusionSystem, s_inv: np.ndarray | None = None
-) -> np.ndarray:
+def _dual_sum(sys: FusionSystem, cand: FusionSystem) -> np.ndarray:
     """sum_i v_i v'_i P_{V'_i} S^{-1} P_{V_i}, never forming a projection.
 
     Term i is (v'_i D_i)(D_i^H S^{-1} B_i)(v_i B_i)^H with D_i, B_i the
     member bases: O(n^2 k_i) work, and one GEMM sums the outer products.
-    Without ``s_inv``, checks the candidate first and forms S^{-1} itself.
+    Checks the candidate first, then forms S^{-1} from the cached spectrum.
     """
-    if s_inv is None:
-        if cand.ambient_dim != sys.ambient_dim:
-            raise DimensionMismatch("candidate lives on a different space")
-        if len(cand.members) != len(sys.members):
-            raise ArityMismatch(f"{len(cand.members)} candidate members for {len(sys.members)}")
-        s_inv = inverse_frame_operator(sys)
+    if cand.ambient_dim != sys.ambient_dim:
+        raise DimensionMismatch("candidate lives on a different space")
+    if len(cand.members) != len(sys.members):
+        raise ArityMismatch(f"{len(cand.members)} candidate members for {len(sys.members)}")
+    s_inv = inverse_frame_operator(sys)
     left = []
     for m, c in zip(sys.members, cand.members):
         d = c.basis.matrix
@@ -185,13 +185,6 @@ def reconstruct(sys: FusionSystem, dual: FusionSystem, f) -> np.ndarray:
     """Apply sum_i v_i v'_i P_{V'_i} S^{-1} P_{V_i} to f (equals f for a dual)."""
     v = _ambient_vector(sys, f)
     return _dual_sum(sys, dual) @ v
-
-
-def reconstruct_canonical(sys: FusionSystem, f) -> np.ndarray:
-    """Apply sum_i v_i^2 P_{S^{-1}V_i} S^{-1} P_{V_i} to f (equals f for a frame)."""
-    v = _ambient_vector(sys, f)
-    s_inv = inverse_frame_operator(sys)
-    return _dual_sum(sys, _image(s_inv, sys), s_inv) @ v
 
 
 def is_alternative_dual(sys: FusionSystem, cand: FusionSystem) -> tuple[bool, float]:

@@ -7,8 +7,8 @@ kron(P_{V_i}, P_{W_j}).  Members enumerate (i, j) in row-major order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .frames import (
     _dual_sum,
     _identity_residual,
     _image,
+    _weighted_dim,
     canonical_dual,
-    frame_bounds,
     frame_operator,
     inverse_frame_operator,
     projection,
@@ -40,21 +40,15 @@ class TensorSystem:
     """Tensor-product fusion system, stored as its two factors (V, W).
 
     Member k is the pair (i, j) = divmod(k, len(W)).  Bounds, duals and the
-    dual test work on the factors; ``base`` is the dense product.
+    dual test work on the factors; no product-space matrix is kept.
     """
 
     factors: tuple[FusionSystem, FusionSystem]
 
-    @cached_property
-    def base(self) -> FusionSystem:
-        """The dense product system on dim(H)*dim(K), built on first use."""
-        v, w = self.factors
-        members = []
-        for mv in v.members:
-            for mw in w.members:
-                basis = SubspaceBasis(np.kron(mv.basis.matrix, mw.basis.matrix))
-                members.append(WeightedSubspace(basis=basis, weight=mv.weight * mw.weight))
-        return FusionSystem(ambient_dim=v.ambient_dim * w.ambient_dim, members=tuple(members))
+    def __post_init__(self):
+        # FusionSystem's overflow rule on the product, whose sum factors.
+        if not math.isfinite(2.0 * math.prod(_weighted_dim(f.members) for f in self.factors)):
+            raise ValueError("weights too large: 2 * sum of (v_i w_j)^2 dim V_i dim W_j overflows")
 
 
 @dataclass(frozen=True)
@@ -75,6 +69,17 @@ def tensor_system(v: FusionSystem, w: FusionSystem) -> TensorSystem:
     return TensorSystem(factors=(v, w))
 
 
+def _product_system(ts: TensorSystem) -> FusionSystem:
+    """The dense product system on dim(H)*dim(K), members in row-major (i, j) order."""
+    v, w = ts.factors
+    members = []
+    for mv in v.members:
+        for mw in w.members:
+            basis = SubspaceBasis(np.kron(mv.basis.matrix, mw.basis.matrix))
+            members.append(WeightedSubspace(basis=basis, weight=mv.weight * mw.weight))
+    return FusionSystem(ambient_dim=v.ambient_dim * w.ambient_dim, members=tuple(members))
+
+
 def tensor_frame_bounds(ts: TensorSystem) -> FrameBounds:
     """Optimal bounds: the extremal products of factor eigenvalues, as S_{VxW} = S_V (x) S_W."""
     v, w = ts.factors
@@ -82,13 +87,13 @@ def tensor_frame_bounds(ts: TensorSystem) -> FrameBounds:
 
 
 def check_operator_factorization(ts: TensorSystem) -> tuple[bool, dict[str, float]]:
-    """Verify S_{VxW} = kron(S_V, S_W) and, when invertible, the same for inverses."""
+    """Verify S_{VxW} = kron(S_V, S_W) and, for a frame, the same for inverses."""
     v, w = ts.factors
-    s_t = frame_operator(ts.base)
+    s_t = frame_operator(_product_system(ts))
     r_s = rel_fro(s_t, np.kron(frame_operator(v), frame_operator(w)))
     residuals = {"frame_operator": r_s}
     ok = r_s <= FACTORIZATION_TOL
-    if frame_bounds(v).is_frame and frame_bounds(w).is_frame:
+    if tensor_frame_bounds(ts).is_frame:  # then sigma_min/sigma_max > 1e-10: invert cannot raise
         r_inv = rel_fro(
             invert(s_t), np.kron(invert(frame_operator(v)), invert(frame_operator(w)))
         )

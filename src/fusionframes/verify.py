@@ -32,6 +32,7 @@ from .frames import (
 )
 from .linalg import SubspaceBasis, adjoint, invert, orthonormalize, rel_fro
 from .tensor import (
+    _product_system,
     alt_dual_frame_check,
     canonical_dual_tensor,
     check_operator_factorization,
@@ -163,7 +164,7 @@ def _roi_ops(sys) -> list:
 def _dual_against_dense(ts, cand) -> float:
     """The larger of the factorwise dual residual and the dense oracle's."""
     _, residual = is_alternative_dual_tensor(ts, cand)
-    _, residual_dense = is_alternative_dual(ts.base, cand.base)
+    _, residual_dense = is_alternative_dual(_product_system(ts), _product_system(cand))
     return max(residual, residual_dense)
 
 
@@ -263,7 +264,7 @@ def _check_t2_13(rng, dims):
 def _check_d3_1(rng, dims):
     v, w, ts = _frame_pair(rng, dims)
     bv, bw = frame_bounds(v), frame_bounds(w)
-    s = frame_operator(ts.base)
+    s = frame_operator(_product_system(ts))
     worst = 0.0
     for fg in _simple_tensors(rng, v, w):
         energy = float(np.real(np.vdot(fg, s @ fg)))
@@ -274,7 +275,7 @@ def _check_d3_1(rng, dims):
 def _check_n3_3(rng, dims):
     v, w, ts = _frame_pair(rng, dims)
     worst = 0.0
-    for k, member in enumerate(ts.base.members):
+    for k, member in enumerate(_product_system(ts).members):
         i, j = divmod(k, len(w))
         p = projection(member.basis)
         p_fact = np.kron(projection(v.members[i].basis), projection(w.members[j].basis))
@@ -286,7 +287,7 @@ def _check_t3_4(rng, dims):
     v, w, ts = _frame_pair(rng, dims)
     bv, bw = frame_bounds(v), frame_bounds(w)
     # Dense oracle: the library's factorwise bounds must agree with it.
-    bt, fw = frame_bounds(ts.base), tensor_frame_bounds(ts)
+    bt, fw = frame_bounds(_product_system(ts)), tensor_frame_bounds(ts)
     r = max(
         abs(bt.lower - bv.lower * bw.lower) / (bv.lower * bw.lower),
         abs(bt.upper - bv.upper * bw.upper) / (bv.upper * bw.upper),
@@ -318,7 +319,8 @@ def _check_t3_7(rng, dims):
 def _check_t3_8(rng, dims):
     v, w, ts = _frame_pair(rng, dims)
     t12, moved = _transported(rng, v, w, ts)
-    r_op = rel_fro(frame_operator(moved.base), t12 @ frame_operator(ts.base) @ invert(t12))
+    s_moved, s = frame_operator(_product_system(moved)), frame_operator(_product_system(ts))
+    r_op = rel_fro(s_moved, t12 @ s @ invert(t12))
     b0, b1 = tensor_frame_bounds(ts), tensor_frame_bounds(moved)
     r_b = max(abs(b1.lower - b0.lower) / b0.lower, abs(b1.upper - b0.upper) / b0.upper)
     return float(max(r_op, r_b))
@@ -332,7 +334,7 @@ def _check_p3_10(rng, dims):
 
 def _check_n3_11(rng, dims):
     _, _, ts = _frame_pair(rng, dims)
-    return _identity_residual(sum(_roi_ops(ts.base)))
+    return _identity_residual(sum(_roi_ops(_product_system(ts))))
 
 
 def _check_t3_12(rng, dims):
@@ -355,7 +357,7 @@ def _check_t4_1(rng, dims):
     v, w, ts = _frame_pair(rng, dims)
     bv, bw = frame_bounds(v), frame_bounds(w)
     dual = canonical_dual_tensor(ts)
-    s_norm, s_inv_norm = frame_operator_norms(ts.base)
+    s_norm, s_inv_norm = frame_operator_norms(_product_system(ts))
     db = tensor_frame_bounds(dual)
     cond = s_norm**2 * s_inv_norm**2
     return _outside(db, bv.lower * bw.lower, bv.upper * bw.upper, cond)
@@ -368,7 +370,8 @@ def _check_d4_2(rng, dims):
 
 def _check_n4_3(rng, dims):
     _, _, ts = _frame_pair(rng, dims)
-    return _canonical_dual_residual(ts.base, canonical_dual_tensor(ts).base)
+    dual = canonical_dual_tensor(ts)
+    return _canonical_dual_residual(_product_system(ts), _product_system(dual))
 
 
 def _check_t4_4(rng, dims):
@@ -385,7 +388,7 @@ def _check_t4_5(rng, dims):
     # itself is tested here, with ||S^{-1}|| of the dense product system.
     bounds = alt_dual_frame_check(ts, cand)
     d1, d2 = frame_bounds(v).upper, frame_bounds(w).upper
-    _, s_inv_norm = frame_operator_norms(ts.base)
+    _, s_inv_norm = frame_operator_norms(_product_system(ts))
     return float(max(1.0 / (d1 * d2 * s_inv_norm**2) - bounds.lower, 0.0))
 
 

@@ -29,6 +29,7 @@ from fusionframes import (
 )
 from fusionframes.frames import RESOLUTION_TOL, _identity_residual
 from fusionframes.linalg import invert, rel_fro
+from fusionframes.tensor import _product_system
 from fusionframes.verify import (
     _random_nonframe,
     _random_unitary,
@@ -113,7 +114,7 @@ def test_4_duality_suite():
         ts = tensor_system(v, w)
         dual = canonical_dual_tensor(ts)
         factorwise = tensor_system(canonical_dual(v), canonical_dual(w))
-        for dm, fm in zip(dual.base.members, factorwise.base.members):
+        for dm, fm in zip(_product_system(dual).members, _product_system(factorwise).members):
             gap = np.linalg.norm(projection(dm.basis) - projection(fm.basis))
             ok = ok and gap <= 1e-9
         passed, _res = is_alternative_dual_tensor(ts, factorwise)
@@ -158,7 +159,7 @@ def test_5_inequality_sandwiches():
         ts = tensor_system(v, w)
         db = tensor_frame_bounds(canonical_dual_tensor(ts))
         bv, bw = frame_bounds(v), frame_bounds(w)
-        s_norm, s_inv_norm = frame_operator_norms(ts.base)
+        s_norm, s_inv_norm = frame_operator_norms(_product_system(ts))
         cond = s_norm**2 * s_inv_norm**2
         ok = ok and db.is_frame
         ok = ok and db.lower >= bv.lower * bw.lower / cond - slack
@@ -170,7 +171,7 @@ def test_5_inequality_sandwiches():
         ts = tensor_system(v, w)
         db = tensor_frame_bounds(canonical_dual_tensor(ts))
         d1, d2 = frame_bounds(v).upper, frame_bounds(w).upper
-        _, s_inv_norm = frame_operator_norms(ts.base)
+        _, s_inv_norm = frame_operator_norms(_product_system(ts))
         ok = ok and db.lower >= 1.0 / (d1 * d2 * s_inv_norm**2) - slack
     _verdict(5, "inequality sandwiches", ok)
 
@@ -185,8 +186,8 @@ def test_6_unitary_transport():
         t2 = _random_unitary(rng, w.ambient_dim)
         moved = transport_tensor_system(t1, t2, ts)
         t12 = np.kron(t1, t2)
-        conjugated = t12 @ frame_operator(ts.base) @ invert(t12)
-        ok = ok and rel_fro(frame_operator(moved.base), conjugated) <= 1e-9
+        conjugated = t12 @ frame_operator(_product_system(ts)) @ invert(t12)
+        ok = ok and rel_fro(frame_operator(_product_system(moved)), conjugated) <= 1e-9
         b0 = tensor_frame_bounds(ts)
         b1 = tensor_frame_bounds(moved)
         ok = ok and abs(b1.lower - b0.lower) <= 1e-9 * b0.lower

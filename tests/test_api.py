@@ -13,7 +13,7 @@ PUBLIC = {
     # frames
     "FrameBounds", "FusionSystem", "WeightedSubspace", "canonical_dual", "frame_bounds",
     "frame_operator", "frame_operator_norms", "inverse_frame_operator", "is_alternative_dual",
-    "projection", "reconstruct", "reconstruct_canonical",
+    "projection", "reconstruct",
     # tensor
     "RoiFamily", "TensorSystem", "alt_dual_frame_check", "canonical_dual_tensor",
     "check_operator_factorization", "is_alternative_dual_tensor", "roi_tensor",

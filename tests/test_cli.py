@@ -219,12 +219,31 @@ class TestCheck:
         assert "invalid JSON" in capsys.readouterr().err
 
 
+def coordinate_lines_path(tmp_path, weights):
+    """A file of the coordinate lines span{e_k} of C^n with the given weights."""
+    n = len(weights)
+    data = {
+        "format_version": "fusion-frame/1",
+        "scalar": "real",
+        "ambient_dim": n,
+        "subspaces": [
+            {"weight": w, "basis": [[float(i == k) for i in range(n)]]}
+            for k, w in enumerate(weights)
+        ],
+    }
+    p = tmp_path / "lines.json"
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
 class TestTensor:
     def test_v2_squared_bounds(self, v2_path, tmp_path, capsys):
         out = str(tmp_path / "t.json")
         assert main(["tensor", "--left", v2_path, "--right", v2_path, "--out", out]) == 0
-        printed = capsys.readouterr().out
-        assert "0.0857864" in printed and "2.91421" in printed
+        assert capsys.readouterr().out == (
+            "is_frame: True\n"
+            "tensor bounds: A = 0.0857864376269, B = 2.91421356237\n"
+        )
         ts = load_system(out)
         assert ts.ambient_dim == 4 and len(ts) == 4
 
@@ -232,8 +251,35 @@ class TestTensor:
         out = str(tmp_path / "t.json")
         assert main(["tensor", "--left", parseval_path, "--right", parseval_path,
                      "--out", out]) == 0
-        printed = capsys.readouterr().out
-        assert "A = 1" in printed and "B = 1" in printed
+        assert capsys.readouterr().out == "is_frame: True\ntensor bounds: A = 1, B = 1\n"
+
+    def test_report_moves_to_stderr_without_out(self, v2_path, capsys):
+        assert main(["tensor", "--left", v2_path, "--right", v2_path]) == 0
+        captured = capsys.readouterr()
+        assert len(loads_system(captured.out)) == 4
+        assert captured.err == (
+            "is_frame: True\n"
+            "tensor bounds: A = 0.0857864376269, B = 2.91421356237\n"
+        )
+
+    def test_ill_conditioned_product_is_not_a_frame(self, tmp_path, capsys):
+        # Each factor is a frame with A = 10^-8.4 and B = 1; the product's
+        # A / B = 10^-16.8 is below FRAME_TOL_REL.
+        lines = coordinate_lines_path(tmp_path, [10**-4.2, 1.0, 1.0])
+        out = tmp_path / "t.json"
+        assert main(["tensor", "--left", lines, "--right", lines, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "is_frame: False\n"
+            "tensor bounds: A = 1.58489319246e-17, B = 1\n"
+        )
+        assert len(load_system(str(out))) == 9
+
+    def test_overflowing_product_refuses_before_writing(self, tmp_path, capsys):
+        big = coordinate_lines_path(tmp_path, [1e100])
+        out = tmp_path / "t.json"
+        assert main(["tensor", "--left", big, "--right", big, "--out", str(out)]) == 2
+        assert "weights too large" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dim_guard_exits_2(self, tmp_path, capsys):
         big = str(tmp_path / "big.json")

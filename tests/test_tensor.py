@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from fusionframes import (
     tensor_system,
     transport_tensor_system,
 )
+from fusionframes import tensor
 from fusionframes.frames import frame_operator_norms
+from fusionframes.tensor import _product_system
 from fusionframes.verify import random_fusion_system
 
 RT2 = np.sqrt(2.0)
@@ -58,11 +61,11 @@ def scaled_candidate(n, a, delta):
 
 class TestTensorSystem:
     def test_parseval_tensor(self, parseval_system):
-        ts = tensor_system(parseval_system, parseval_system)
-        assert len(ts.base.members) == 4
-        assert all(m.basis.sub_dim == 1 for m in ts.base.members)
-        np.testing.assert_allclose(frame_operator(ts.base), np.eye(4), atol=1e-14)
-        for member, (i, j) in zip(ts.base.members, itertools.product(range(2), range(2))):
+        product = _product_system(tensor_system(parseval_system, parseval_system))
+        assert len(product.members) == 4
+        assert all(m.basis.sub_dim == 1 for m in product.members)
+        np.testing.assert_allclose(frame_operator(product), np.eye(4), atol=1e-14)
+        for member, (i, j) in zip(product.members, itertools.product(range(2), range(2))):
             p_fact = np.kron(
                 projection(parseval_system.members[i].basis),
                 projection(parseval_system.members[j].basis),
@@ -70,36 +73,44 @@ class TestTensorSystem:
             assert np.linalg.norm(projection(member.basis) - p_fact) <= 1e-14
 
     def test_v2_tensor_frame_operator(self, v2_system):
-        ts = tensor_system(v2_system, v2_system)
-        np.testing.assert_allclose(frame_operator(ts.base), np.kron(V2_S, V2_S), atol=1e-13)
+        product = _product_system(tensor_system(v2_system, v2_system))
+        np.testing.assert_allclose(frame_operator(product), np.kron(V2_S, V2_S), atol=1e-13)
 
     def test_identity_factor(self, v2_system):
         ts = tensor_system(v2_system, full_space_system(3))
         np.testing.assert_allclose(
-            frame_operator(ts.base), np.kron(V2_S, np.eye(3)), atol=1e-13
+            frame_operator(_product_system(ts)), np.kron(V2_S, np.eye(3)), atol=1e-13
         )
 
     def test_projection_factorization(self, v2_system):
-        ts = tensor_system(v2_system, v2_system)
-        for member, (i, j) in zip(ts.base.members, itertools.product(range(2), range(2))):
+        product = _product_system(tensor_system(v2_system, v2_system))
+        for member, (i, j) in zip(product.members, itertools.product(range(2), range(2))):
             p_fact = np.kron(
                 projection(v2_system.members[i].basis), projection(v2_system.members[j].basis)
             )
             assert np.linalg.norm(projection(member.basis) - p_fact) <= 1e-10
 
+    def test_overflowing_product_is_refused(self):
+        # Each factor's 2 v^2 dim V = 2e200 is finite; the product's 2e400 is not.
+        big = full_space_system(1, 1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="weights too large"):
+                tensor_system(big, big)
+
     def test_weights_multiply(self):
         rng = np.random.default_rng(0)
         v = random_frame(rng, 2)
         w = random_frame(rng, 3)
-        ts = tensor_system(v, w)
-        assert len(ts.base.members) == len(v) * len(w)
-        for k, member in enumerate(ts.base.members):
+        product = _product_system(tensor_system(v, w))
+        assert len(product.members) == len(v) * len(w)
+        for k, member in enumerate(product.members):
             i, j = divmod(k, len(w))
             assert member.weight == pytest.approx(v.members[i].weight * w.members[j].weight)
 
 
 class TestFactorwiseAgainstDense:
-    """The factorwise paths against the dense product ``ts.base``."""
+    """The factorwise paths against the dense product ``_product_system(ts)``."""
 
     def test_bounds_match_dense(self, v2_system):
         rng = np.random.default_rng(6)
@@ -110,7 +121,7 @@ class TestFactorwiseAgainstDense:
         pairs += [(nonframe, nonframe, False)]
         for v, w, is_frame in pairs:
             ts = tensor_system(v, w)
-            fw, dense = tensor_frame_bounds(ts), frame_bounds(ts.base)
+            fw, dense = tensor_frame_bounds(ts), frame_bounds(_product_system(ts))
             assert fw.is_frame == dense.is_frame == is_frame
             assert fw.is_tight == dense.is_tight
             assert abs(fw.lower - dense.lower) <= 1e-12 * dense.upper
@@ -126,7 +137,9 @@ class TestFactorwiseAgainstDense:
         verdicts = []
         for cand in cands:
             ok, residual = is_alternative_dual_tensor(ts, cand)
-            ok_dense, residual_dense = is_alternative_dual(ts.base, cand.base)
+            ok_dense, residual_dense = is_alternative_dual(
+                _product_system(ts), _product_system(cand)
+            )
             assert ok == ok_dense
             assert abs(residual - residual_dense) <= 1e-12 * max(1.0, residual_dense)
             verdicts.append(ok)
@@ -144,7 +157,11 @@ class TestFactorwiseAgainstDense:
         with pytest.raises(ArityMismatch):
             is_alternative_dual_tensor(tensor_system(v, w), cand)
 
-    def test_factorwise_paths_never_build_the_product(self):
+    def test_factorwise_paths_never_build_the_product(self, monkeypatch):
+        def refuse(ts):
+            raise AssertionError("factorwise path built the dense product")
+
+        monkeypatch.setattr(tensor, "_product_system", refuse)
         rng = np.random.default_rng(9)
         v, w = random_frame(rng, 3), random_frame(rng, 2)
         ts = tensor_system(v, w)
@@ -157,9 +174,7 @@ class TestFactorwiseAgainstDense:
             np.linalg.qr(rng.standard_normal((3, 3)))[0], np.eye(2), ts
         )
         tensor_frame_bounds(moved)
-        for t in (ts, dual, cand, moved):
-            assert "base" not in t.__dict__
-        assert ts.base is ts.base and "base" in ts.__dict__
+        roi_tensor(v, w)
 
 
 class TestTensorBounds:
@@ -194,7 +209,7 @@ class TestTensorBounds:
         v, w = random_frame(rng, 3), random_frame(rng, 3)
         ev_v = np.linalg.eigvalsh(frame_operator(v))
         ev_w = np.linalg.eigvalsh(frame_operator(w))
-        ev_t = np.linalg.eigvalsh(frame_operator(tensor_system(v, w).base))
+        ev_t = np.linalg.eigvalsh(frame_operator(_product_system(tensor_system(v, w))))
         products = np.sort(np.outer(ev_v, ev_w).ravel())
         np.testing.assert_allclose(ev_t, products, rtol=1e-9, atol=1e-12)
 
@@ -218,12 +233,22 @@ class TestOperatorFactorization:
         ok, _ = check_operator_factorization(tensor_system(v2_system, full_space_system(2)))
         assert ok
 
+    def test_ill_conditioned_product_skips_the_inverse(self):
+        # Both factors are frames (A = 10^-8.4, B = 1), the product is not
+        # (A / B = 10^-16.8), so the inverses are not compared.
+        w = (10**-4.2, 1.0, 1.0)
+        members = [WeightedSubspace(SubspaceBasis(np.eye(3)[:, [k]]), w[k]) for k in range(3)]
+        lines = FusionSystem(3, tuple(members))
+        assert frame_bounds(lines).is_frame
+        ok, residuals = check_operator_factorization(tensor_system(lines, lines))
+        assert ok and set(residuals) == {"frame_operator"}
+
 
 class TestTransport:
     def test_identity_transport(self, v2_system):
         ts = tensor_system(v2_system, v2_system)
         moved = transport_tensor_system(np.eye(2), np.eye(2), ts)
-        for a, b in zip(moved.base.members, ts.base.members):
+        for a, b in zip(_product_system(moved).members, _product_system(ts).members):
             assert np.linalg.norm(projection(a.basis) - projection(b.basis)) <= 1e-12
 
     def test_rotation_preserves_bounds(self, v2_system):
@@ -231,8 +256,8 @@ class TestTransport:
         ts = tensor_system(v2_system, v2_system)
         moved = transport_tensor_system(rot, rot, ts)
         r = np.kron(rot, rot)
-        expected = r @ frame_operator(ts.base) @ r.conj().T
-        np.testing.assert_allclose(frame_operator(moved.base), expected, atol=1e-12)
+        expected = r @ frame_operator(_product_system(ts)) @ r.conj().T
+        np.testing.assert_allclose(frame_operator(_product_system(moved)), expected, atol=1e-12)
         b0, b1 = tensor_frame_bounds(ts), tensor_frame_bounds(moved)
         assert abs(b0.lower - b1.lower) <= 1e-9 and abs(b0.upper - b1.upper) <= 1e-9
 
@@ -335,15 +360,15 @@ class TestTensorDuals:
     def test_parseval_self_dual(self, parseval_system):
         ts = tensor_system(parseval_system, parseval_system)
         dual = canonical_dual_tensor(ts)
-        for a, b in zip(dual.base.members, ts.base.members):
+        for a, b in zip(_product_system(dual).members, _product_system(ts).members):
             assert np.linalg.norm(projection(a.basis) - projection(b.basis)) <= 1e-12
 
     def test_v2_dual_factors(self, v2_system):
         # Factor duals: span{(1,-1)/sqrt(2)} and span{e2}.
         ts = tensor_system(v2_system, v2_system)
-        dual = canonical_dual_tensor(ts)
+        dual = _product_system(canonical_dual_tensor(ts))
         factor_dual = canonical_dual(v2_system)
-        for member, (i, j) in zip(dual.base.members, itertools.product(range(2), range(2))):
+        for member, (i, j) in zip(dual.members, itertools.product(range(2), range(2))):
             p_fact = np.kron(
                 projection(factor_dual.members[i].basis),
                 projection(factor_dual.members[j].basis),
@@ -356,7 +381,7 @@ class TestTensorDuals:
         ts = tensor_system(v, w)
         path1 = canonical_dual_tensor(ts)
         path2 = tensor_system(canonical_dual(v), canonical_dual(w))
-        for a, b in zip(path1.base.members, path2.base.members):
+        for a, b in zip(_product_system(path1).members, _product_system(path2).members):
             assert np.linalg.norm(projection(a.basis) - projection(b.basis)) <= 1e-9
 
     def test_canonical_dual_is_alternative_dual(self, v2_system):
@@ -417,7 +442,7 @@ class TestAltDualFrameCheck:
         ts = tensor_system(v2_system, v2_system)
         bounds = alt_dual_frame_check(ts, canonical_dual_tensor(ts))
         d1 = d2 = V2_BOUNDS[1]
-        _, s_inv_norm = frame_operator_norms(ts.base)
+        _, s_inv_norm = frame_operator_norms(_product_system(ts))
         assert bounds.is_frame
         assert bounds.lower >= 1.0 / (d1 * d2 * s_inv_norm**2) - 1e-9
 
