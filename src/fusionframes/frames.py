@@ -108,11 +108,15 @@ def _synthesis_matrix(sys: FusionSystem) -> np.ndarray:
     return np.hstack([m.weight * m.basis.matrix for m in sys.members])
 
 
-def frame_operator(sys: FusionSystem) -> np.ndarray:
-    """S = sum_i v_i^2 P_{V_i}; Hermitian and positive semidefinite."""
-    b = _synthesis_matrix(sys)
+def _gram(b: np.ndarray) -> np.ndarray:
+    """B B^H, symmetrized so that it is Hermitian to the last bit."""
     s = b @ adjoint(b)
     return 0.5 * (s + adjoint(s))
+
+
+def frame_operator(sys: FusionSystem) -> np.ndarray:
+    """S = sum_i v_i^2 P_{V_i}; Hermitian and positive semidefinite."""
+    return _gram(_synthesis_matrix(sys))
 
 
 def _bounds_from_eigenvalues(eigenvalues: np.ndarray) -> FrameBounds:

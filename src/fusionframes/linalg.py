@@ -26,7 +26,7 @@ def as_operator(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -35,13 +35,22 @@ def as_vector(v) -> np.ndarray:
     m = np.asarray(v, dtype=complex).ravel()
     if m.size == 0:
         raise ValueError("empty vector")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("vector has non-finite entries")
     return m
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    return np.conj(a).T
+    return np.conj(a).swapaxes(-1, -2)
+
+
+def _require_orthonormal(m: np.ndarray) -> None:
+    """Raise ValueError unless each (n, k) basis in the stack m has B^H B = I within TOL_ORTHO."""
+    # Huge entries overflow the Gram matrix to inf or NaN; both must fail.
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.linalg.norm(adjoint(m) @ m - np.eye(m.shape[-1]), axis=(-2, -1))
+    if not (defect <= TOL_ORTHO * max(1.0, np.sqrt(m.shape[-1]))).all():
+        raise ValueError("columns are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -61,11 +70,7 @@ class SubspaceBasis:
         n, k = m.shape
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= sub_dim <= ambient_dim, got {k}, {n}")
-        # Huge entries overflow the Gram matrix to inf or NaN; both must fail.
-        with np.errstate(over="ignore", invalid="ignore"):
-            defect = np.linalg.norm(adjoint(m) @ m - np.eye(k))
-        if not (defect <= TOL_ORTHO * max(1.0, np.sqrt(k))):
-            raise ValueError("columns are not orthonormal")
+        _require_orthonormal(m)
 
     @property
     def ambient_dim(self) -> int:

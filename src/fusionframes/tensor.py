@@ -7,6 +7,7 @@ kron(P_{V_i}, P_{W_j}).  Members enumerate (i, j) in row-major order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .frames import (
     WeightedSubspace,
     _bounds_from_eigenvalues,
     _dual_sum,
+    _gram,
     _identity_residual,
     _image,
     _weighted_dim,
@@ -28,7 +30,9 @@ from .frames import (
     inverse_frame_operator,
     projection,
 )
-from .linalg import KronOperator, SubspaceBasis, adjoint, as_operator, invert, rel_fro
+from .linalg import (
+    KronOperator, SubspaceBasis, _require_orthonormal, adjoint, as_operator, invert, rel_fro
+)
 
 UNITARY_TOL = 1e-10             # ||T^H T - I||_F, relative to sqrt(n)
 FACTORIZATION_TOL = 1e-10       # ||S_{VxW} - S_V x S_W||_F, relative to ||S_V x S_W||_F
@@ -69,14 +73,34 @@ def tensor_system(v: FusionSystem, w: FusionSystem) -> TensorSystem:
     return TensorSystem(factors=(v, w))
 
 
-def _product_system(ts: TensorSystem) -> FusionSystem:
-    """The dense product system on dim(H)*dim(K), members in row-major (i, j) order."""
+def _product_block(ts: TensorSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(block, weights, offsets): member k = (i, j) is block[:, offsets[k]:offsets[k + 1]].
+
+    That is kron(B_i, C_j), each column weighted v_i w_j.  One kron(B_i, [C_1 ... C_N]) per
+    V-member, put in member order by a column order fixed by dim V_i, gives the same floats.
+    """
     v, w = ts.factors
-    members = []
-    for mv in v.members:
-        for mw in w.members:
-            basis = SubspaceBasis(np.kron(mv.basis.matrix, mw.basis.matrix))
-            members.append(WeightedSubspace(basis=basis, weight=mv.weight * mw.weight))
+    right = np.hstack([m.basis.matrix for m in w.members])
+    v_dims, w_dims = ([m.basis.sub_dim for m in f.members] for f in ts.factors)
+    # Column p * L + c of kron(B_i, right) belongs to member j(c) of W: sort by (j(c), p, c).
+    member_of_col = np.repeat(np.arange(len(w_dims)), w_dims)
+    orders = {k: np.argsort(np.tile(member_of_col, k), kind="stable") for k in set(v_dims)}
+    offsets = np.cumsum([0, *np.outer(v_dims, w_dims).flat])
+    block = np.empty((v.ambient_dim * w.ambient_dim, offsets[-1]), dtype=complex)
+    for start, m, k in zip(offsets[:: len(w_dims)], v.members, v_dims):
+        block[:, start:start + k * right.shape[1]] = np.kron(m.basis.matrix, right)[:, orders[k]]
+    weights = np.outer(*([m.weight for m in f.members] for f in ts.factors)).ravel()
+    return block, np.repeat(weights, np.diff(offsets)), offsets
+
+
+def _product_system(ts: TensorSystem) -> FusionSystem:
+    """Dense product system: member (i, j) = (kron(B_i, C_j), v_i w_j), sliced from the block."""
+    v, w = ts.factors
+    block, _, offsets = _product_block(ts)
+    members = [
+        WeightedSubspace(SubspaceBasis(block[:, a:b].copy()), mv.weight * mw.weight)
+        for (mv, mw), a, b in zip(itertools.product(v.members, w.members), offsets, offsets[1:])
+    ]
     return FusionSystem(ambient_dim=v.ambient_dim * w.ambient_dim, members=tuple(members))
 
 
@@ -87,16 +111,23 @@ def tensor_frame_bounds(ts: TensorSystem) -> FrameBounds:
 
 
 def check_operator_factorization(ts: TensorSystem) -> tuple[bool, dict[str, float]]:
-    """Verify S_{VxW} = kron(S_V, S_W) and, for a frame, the same for inverses."""
-    v, w = ts.factors
-    s_t = frame_operator(_product_system(ts))
-    r_s = rel_fro(s_t, np.kron(frame_operator(v), frame_operator(w)))
+    """Verify S_{VxW} = kron(S_V, S_W) and, for a frame, the same for inverses.
+
+    S_{VxW} = B B^H from the weighted :func:`_product_block`, with no object per member.
+    Each member basis gets SubspaceBasis's orthonormality test, batched by member width.
+    """
+    block, weights, offsets = _product_block(ts)
+    widths = np.diff(offsets)
+    for width in np.unique(widths):
+        cols = offsets[:-1][widths == width, None] + np.arange(width)
+        _require_orthonormal(np.moveaxis(block[:, cols], 1, 0))
+    s_t = _gram(np.multiply(block, weights, out=block))  # B scaled in place: one block in memory
+    s_v, s_w = map(frame_operator, ts.factors)
+    r_s = rel_fro(s_t, np.kron(s_v, s_w))
     residuals = {"frame_operator": r_s}
     ok = r_s <= FACTORIZATION_TOL
     if tensor_frame_bounds(ts).is_frame:  # then sigma_min/sigma_max > 1e-10: invert cannot raise
-        r_inv = rel_fro(
-            invert(s_t), np.kron(invert(frame_operator(v)), invert(frame_operator(w)))
-        )
+        r_inv = rel_fro(invert(s_t), np.kron(invert(s_v), invert(s_w)))
         residuals["inverse"] = r_inv
         ok = ok and r_inv <= INVERSE_FACTORIZATION_TOL
     return ok, residuals

@@ -243,6 +243,10 @@ class TestInvert:
         with pytest.raises(Singular):
             invert([[1.0, 1.0], [1.0, 1.0]])
 
+    def test_non_square_refused(self):
+        with pytest.raises(ValueError, match="not square"):
+            invert(np.ones((2, 3)))
+
     def test_residual_bound(self):
         rng = np.random.default_rng(8)
         a = well_conditioned(rng, 5, 0.1, 10.0)

@@ -30,6 +30,7 @@ from fusionframes import (
 )
 from fusionframes import tensor
 from fusionframes.frames import frame_operator_norms
+from fusionframes.linalg import invert, rel_fro
 from fusionframes.tensor import _product_system
 from fusionframes.verify import random_fusion_system
 
@@ -57,6 +58,28 @@ def scaled_candidate(n, a, delta):
         tensor_system(full_space_system(n, a), one),
         tensor_system(full_space_system(n, a * (1 - delta)), one),
     )
+
+
+def per_member_product(ts):
+    """The reference product system: one kron, SubspaceBasis and weight product per (i, j)."""
+    v, w = ts.factors
+    members = []
+    for mv in v.members:
+        for mw in w.members:
+            basis = SubspaceBasis(np.kron(mv.basis.matrix, mw.basis.matrix))
+            members.append(WeightedSubspace(basis=basis, weight=mv.weight * mw.weight))
+    return FusionSystem(ambient_dim=v.ambient_dim * w.ambient_dim, members=tuple(members))
+
+
+def per_member_factorization(ts):
+    """check_operator_factorization's residual dict, computed from the reference product."""
+    v, w = ts.factors
+    s_t = frame_operator(per_member_product(ts))
+    s_v, s_w = frame_operator(v), frame_operator(w)
+    residuals = {"frame_operator": rel_fro(s_t, np.kron(s_v, s_w))}
+    if tensor_frame_bounds(ts).is_frame:
+        residuals["inverse"] = rel_fro(invert(s_t), np.kron(invert(s_v), invert(s_w)))
+    return residuals
 
 
 class TestTensorSystem:
@@ -242,6 +265,65 @@ class TestOperatorFactorization:
         assert frame_bounds(lines).is_frame
         ok, residuals = check_operator_factorization(tensor_system(lines, lines))
         assert ok and set(residuals) == {"frame_operator"}
+
+
+# (dim, members, max sub-dim, seed) per factor; None is the one-member {(C^2, 1.5)}.
+PINNED_PAIRS = [
+    ((3, 5, 3, 1), (4, 6, 3, 2)),
+    ((4, 3, 3, 3), (3, 4, 2, 4)),
+    (None, (3, 4, 3, 5)),
+    ((3, 4, 3, 6), None),
+    ((2, 2, 2, 7), (16, 16, 2, 8)),  # shaped like the (4, 64) benchmark pair
+]
+
+
+def pinned_factor(spec):
+    if spec is None:
+        return full_space_system(2, 1.5)
+    dim, members, max_subdim, seed = spec
+    return random_fusion_system(dim, members, max_subdim, (0.5, 2.0), seed)
+
+
+class TestProductBlock:
+    """The product built from one kron per V-member, bit for bit as the per-member loop."""
+
+    @pytest.mark.parametrize("v_spec,w_spec", PINNED_PAIRS)
+    def test_bit_identical_to_the_per_member_loop(self, v_spec, w_spec):
+        ts = tensor_system(pinned_factor(v_spec), pinned_factor(w_spec))
+        got, ref = _product_system(ts), per_member_product(ts)
+        assert len(got) == len(ref)
+        for g, r in zip(got.members, ref.members):
+            assert g.basis.matrix.shape == r.basis.matrix.shape
+            assert g.basis.matrix.tobytes() == r.basis.matrix.tobytes()
+            assert type(g.weight) is type(r.weight) and g.weight == r.weight
+        assert frame_operator(got).tobytes() == frame_operator(ref).tobytes()
+        assert check_operator_factorization(ts)[1] == per_member_factorization(ts)
+
+    def test_a_defective_factor_basis_is_still_refused(self):
+        ts = tensor_system(random_fusion_system(3, 4, 2, (0.5, 2.0), 9), full_space_system(2))
+        check_operator_factorization(ts)
+        ts.factors[0].members[0].basis.matrix[0, 0] *= 1.1
+        with pytest.raises(ValueError, match="columns are not orthonormal"):
+            check_operator_factorization(ts)
+
+    def test_one_kron_per_v_member(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        v, w = random_frame(rng, 3), random_frame(rng, 4)
+        ts = tensor_system(v, w)
+        assert tensor_frame_bounds(ts).is_frame
+        calls = []
+        real = np.kron
+
+        def counted(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(np, "kron", counted)
+        _product_system(ts)
+        assert len(calls) == len(v)
+        calls.clear()
+        check_operator_factorization(ts)
+        assert len(calls) == len(v) + 2
 
 
 class TestTransport:
@@ -466,6 +548,23 @@ class TestAltDualFrameCheck:
         assert is_alternative_dual_tensor(ts, cand)[0]
         bounds = alt_dual_frame_check(ts, cand)
         assert bounds == tensor_frame_bounds(cand) and bounds.is_frame
+
+    def test_dual_that_is_not_a_frame_rejected(self):
+        # The dual sum is exactly I; the candidate's bounds are 4 and 1e12 + 1,
+        # whose ratio 4e-12 is below the frame rule's 1e-10.
+        e1, e2 = (SubspaceBasis(np.eye(2)[:, [k]]) for k in range(2))
+
+        def system(*members):
+            return FusionSystem(2, tuple(WeightedSubspace(b, c) for b, c in members))
+
+        one = full_space_system(1)
+        ts = tensor_system(system((e1, 1.0), (e2, 1.0), (e1, 1.0)), one)
+        cand = tensor_system(system((e1, 2.0), (e2, 1.0), (e2, 1e6)), one)
+        assert is_alternative_dual_tensor(ts, cand) == (True, 0.0)
+        bounds = tensor_frame_bounds(cand)
+        assert (bounds.lower, bounds.upper) == pytest.approx((4.0, 1e12 + 1))
+        with pytest.raises(NotADual, match="candidate dual is not a frame"):
+            alt_dual_frame_check(ts, cand)
 
     def test_candidate_past_the_tolerance_rejected(self):
         ts, cand = scaled_candidate(1, 1.0, 1e-6)
